@@ -57,6 +57,14 @@ class VertexCountTooSmall(GraphInvError):
     """Not enough vertices for this construction."""
 
 
+class VertexOutOfRange(GraphInvError):
+    """An edge endpoint lies outside the vertices 1..n."""
+
+
+class MalformedInput(GraphInvError):
+    """A JSON document or a point token does not have the expected shape."""
+
+
 class BadExponent(GraphInvError):
     """Exponent must be odd and within range."""
 

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import LengthMismatch, NoStableConfiguration
+from .errors import LengthMismatch, MalformedInput, NoStableConfiguration
 from .graphs import Graph, WeightVector
 
 INFINITY_TOKENS = ("inf", "infinity", "oo")
@@ -26,6 +26,15 @@ class Stability(Enum):
     UNSTABLE = "unstable"
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x), with MalformedInput for anything that is not a finite
+    rational (a zero denominator, a non-numeric token, an infinite float)."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise MalformedInput(f"not a rational number: {x!r}") from None
+
+
 class Configuration:
     """n points on the projective line in homogeneous rational coordinates."""
 
@@ -33,10 +42,12 @@ class Configuration:
 
     def __init__(self, points: Iterable[tuple]):
         pts = []
-        for u, v in points:
-            u, v = Fraction(u), Fraction(v)
+        for p in points:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise MalformedInput(f"a point is a pair of rationals, got {p!r}")
+            u, v = _rational(p[0]), _rational(p[1])
             if u == 0 and v == 0:
-                raise ValueError("(0, 0) is not a projective point")
+                raise MalformedInput("(0, 0) is not a projective point")
             pts.append((u, v))
         self.points = tuple(pts)
 
@@ -48,7 +59,7 @@ class Configuration:
             if x is None or (isinstance(x, str) and x.strip().lower() in INFINITY_TOKENS):
                 pts.append((Fraction(1), Fraction(0)))
             else:
-                pts.append((Fraction(x), Fraction(1)))
+                pts.append((_rational(x), Fraction(1)))
         return cls(pts)
 
     @property
@@ -145,8 +156,13 @@ def configuration_to_json(c: Configuration) -> dict:
 def configuration_from_json(obj: dict) -> Configuration:
     """Accepts {"points": [["u","v"], ...]} or the affine shorthand
     {"affine": [x, ..., "inf", ...]}."""
+    if not isinstance(obj, dict):
+        raise MalformedInput("a configuration is a JSON object")
+    for key in ("points", "affine"):
+        if key in obj and not isinstance(obj[key], list):
+            raise MalformedInput(f"'{key}' must be a list")
     if "points" in obj:
-        return Configuration([(Fraction(u), Fraction(v)) for u, v in obj["points"]])
+        return Configuration(obj["points"])
     if "affine" in obj:
         return Configuration.from_affine(obj["affine"])
-    raise ValueError("configuration JSON needs a 'points' or 'affine' key")
+    raise MalformedInput("configuration JSON needs a 'points' or 'affine' key")

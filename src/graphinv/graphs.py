@@ -14,9 +14,12 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     LengthMismatch,
     LoopEdge,
+    MalformedInput,
     OddDegreeSum,
     OddVertexCount,
     VertexCountMismatch,
+    VertexCountTooSmall,
+    VertexOutOfRange,
 )
 
 
@@ -34,16 +37,25 @@ class Graph:
         n = int(n)
         edges = tuple((int(t), int(h)) for t, h in edges)
         if n < 1:
-            raise ValueError("vertex count must be positive")
+            raise VertexCountTooSmall("vertex count must be positive")
         for t, h in edges:
             if t == h:
                 raise LoopEdge(f"loop edge {t}->{h}")
             if not (1 <= t <= n and 1 <= h <= n):
-                raise ValueError(f"edge {t}->{h} outside 1..{n}")
+                raise VertexOutOfRange(f"edge {t}->{h} outside 1..{n}")
         self.n = n
         self.edges = edges
         self._key = (n, tuple(sorted(edges)))
         self._hash = hash(self._key)
+
+    @classmethod
+    def _canonical(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph on edges that are already valid int pairs, oriented
+        tail < head and sorted; built without re-checking them."""
+        g = object.__new__(cls)
+        g.n, g.edges, g._key = n, edges, (n, edges)
+        g._hash = hash(g._key)
+        return g
 
     def multidegree(self) -> tuple[int, ...]:
         d = [0] * self.n
@@ -254,5 +266,20 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[t, h] for t, h in g.edges]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(obj: dict) -> Graph:
-    return Graph(int(obj["n"]), [(int(t), int(h)) for t, h in obj["edges"]])
+    """Parse {"n": int, "edges": [[tail, head], ...]}; any other shape
+    raises MalformedInput."""
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise MalformedInput('a graph is a JSON object with keys "n" and "edges"')
+    n, edges = obj["n"], obj["edges"]
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+    ):
+        raise MalformedInput('"edges" must be a list of [tail, head] pairs')
+    if not (_is_int(n) and all(_is_int(t) and _is_int(h) for t, h in edges)):
+        raise MalformedInput("the vertex count and every endpoint must be integers")
+    return Graph(n, edges)

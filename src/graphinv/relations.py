@@ -34,7 +34,7 @@ from .graphs import (
     noncrossing_matchings,
 )
 from .linalg import RationalMatrix, in_span, kernel_basis
-from .straightening import GraphCombination, straighten_graph
+from .straightening import GraphCombination, straighten, straighten_graph
 
 
 def _factor_key(g: Graph):
@@ -331,13 +331,12 @@ def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
 
     p vanishes on every configuration iff the result is the zero
     combination, by linear independence of the non-crossing basis."""
-    acc: dict[Graph, Fraction] = {}
+    prods: dict[Graph, Fraction] = {}
     for mono, coeff in p.terms.items():
         prod = Graph(p.n, [e for f in mono for e in f.edges])
-        for g, c in straighten_graph(prod).terms.items():
-            acc[g] = acc.get(g, Fraction(0)) + coeff * c
+        prods[prod] = prods.get(prod, Fraction(0)) + coeff
     deg = (p.degree,) * p.n if p.degree is not None else None
-    return GraphCombination(p.n, acc, degree=deg)
+    return straighten(GraphCombination(p.n, prods, degree=deg))
 
 
 def _attach_monomial(mono: tuple[Graph, ...], cof: tuple[Graph, ...]) -> tuple[Graph, ...]:

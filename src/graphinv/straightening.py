@@ -11,12 +11,20 @@ reads
 
 on top of any residual graph; the sign conventions are pinned by the
 evaluation oracle in the test suite.
+
+Internally a graph is its canonical sorted edge tuple and a coefficient a
+plain int: a crossing exchange of canonical edges has coefficients +1, so
+straightening a graph never leaves the positive integers.  Public objects
+are built once, from the finished expansion.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
+from functools import cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -58,6 +66,13 @@ class GraphCombination:
         self.n = n
         self.degree = deg
         self.terms = {g: c for g, c in sorted(acc.items(), key=lambda kv: kv[0].edges) if c}
+
+    @classmethod
+    def _canonical(cls, n: int, terms: dict[Graph, Fraction], degree) -> "GraphCombination":
+        """Wrap terms that are already canonical, nonzero and in edge order."""
+        c = object.__new__(cls)
+        c.n, c.degree, c.terms = n, degree, terms
+        return c
 
     @classmethod
     def from_graph(cls, g: Graph, coeff=1) -> "GraphCombination":
@@ -142,68 +157,152 @@ def plucker_exchange(g: Graph, e1: int, e2: int) -> GraphCombination:
     return GraphCombination(g.n, terms, degree=g.multidegree())
 
 
-def _chord_length(g: Graph) -> float:
-    """Total Euclidean chord length with vertices on the unit circle.
+# Top-level results the straightening memo may hold.  It is checked, and
+# cleared when over, only as a top-level call starts.
+_MEMO_CAP = 10_000
 
-    Strictly decreases when a crossing pair is exchanged; used only as a
-    debug-mode termination assertion, never for correctness.
+# (n, canonical sorted edges) -> {non-crossing canonical sorted edges: int}
+# for the graphs of top-level calls.  Values are handed to callers as they
+# are; never mutate one.
+_MEMO: dict[tuple[int, tuple], dict[tuple, int]] = {}
+
+
+@cache
+def _chords(n: int) -> tuple[float, ...]:
+    """Euclidean length of a chord of span s = h - t with the n vertices on
+    the unit circle, sin(pi * arc / n), indexed by s."""
+    return tuple(math.sin(math.pi * min(s, n - s) / n) for s in range(n))
+
+
+def _chord_length(n: int, edges: tuple) -> float:
+    """Total chord length of canonical edges with vertices on the unit circle."""
+    chord = _chords(n)
+    return sum([chord[h - t] for t, h in edges])
+
+
+def _first_crossing(edges: tuple) -> tuple[int, int] | None:
+    """The lex-first index pair i < j of canonical sorted edges (a, b),
+    (c, d) with a < c < b < d, or None when no two edges cross.
+
+    Sorted tails make c >= a, so (a, b) crosses no later edge once c >= b.
     """
-    n = g.n
-    total = 0.0
-    for t, h in g.edges:
-        arc = min(abs(t - h), n - abs(t - h))
-        total += math.sin(math.pi * arc / n)
-    return total
+    m = len(edges)
+    for i in range(m - 1):
+        a, b = edges[i]
+        for j in range(i + 1, m):
+            c, d = edges[j]
+            if c >= b:
+                break
+            if c > a and d > b:
+                return i, j
+    return None
 
 
-_STRAIGHTEN_MEMO: dict[Graph, dict[Graph, Fraction]] = {}
+def _exchange(edges: tuple, i: int, j: int) -> tuple[tuple, tuple]:
+    """The two children, each with coefficient +1, of the crossing pair at
+    indices i < j of canonical sorted edges: (a, b), (c, d) with
+    a < c < b < d become (a, c), (b, d) and (a, d), (c, b)."""
+    a, b = edges[i]
+    c, d = edges[j]
+    rest = list(edges)
+    del rest[j], rest[i]
+    one = rest.copy()
+    insort(one, (a, c))
+    insort(one, (b, d))
+    insort(rest, (a, d))
+    insort(rest, (c, b))
+    return tuple(one), tuple(rest)
 
 
-def _straighten_canonical(g: Graph) -> dict[Graph, Fraction]:
-    """Non-crossing expansion of a single canonical graph, memoized.
+def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
+    """Non-crossing expansion of the combination start, given and returned
+    as {canonical sorted edges: positive int}.
 
-    The pivot is the lexicographically smallest crossing pair of edge
-    indices, so results are deterministic; the cache only ever stores
-    fully straightened values, so concurrent readers see consistent data.
+    Top-down, with an explicit worklist in place of recursion: a graph's
+    coefficient collects every parent's before the graph is exchanged, so
+    each intermediate graph is exchanged once and only the frontier is
+    held.  Graphs are taken longest total chord length first.  The
+    exchange of a crossing pair strictly shortens it (asserted under
+    __debug__; this is the termination argument), so every parent of a
+    graph is taken before it.  The order only saves work: a graph taken
+    too early would be exchanged again later, which linearity makes
+    harmless.  Coefficients stay positive, so nothing cancels.
     """
-    hit = _STRAIGHTEN_MEMO.get(g)
-    if hit is not None:
-        return hit
+    chord = _chords(n)
+    pending = dict(start)
+    todo = [(-_chord_length(n, es), es) for es in pending]
+    heapify(todo)
+    out: dict[tuple, int] = {}
+    while todo:
+        neg_length, es = heappop(todo)
+        k = pending.pop(es)
+        pair = _first_crossing(es)
+        if pair is None:
+            out[es] = out.get(es, 0) + k
+            continue
+        (a, b), (c, d) = es[pair[0]], es[pair[1]]
+        crossed = chord[b - a] + chord[d - c]
+        shorter = (chord[c - a] + chord[d - b], chord[d - a] + chord[b - c])
+        assert max(shorter) < crossed - 1e-9, "an exchange must shorten the chords"
+        for child, length in zip(_exchange(es, *pair), shorter):
+            if child in pending:
+                pending[child] += k
+            else:
+                pending[child] = k
+                heappush(todo, (neg_length + crossed - length, child))
+    return out
+
+
+def _normal_form(g: Graph) -> dict[tuple, int]:
+    """Expansion of a canonical graph on the non-crossing basis, as
+    {canonical sorted edges: int}; the caller must not mutate it.
+
+    A top-level call: it clears an over-full memo, and takes its first
+    exchange through the public crossing_pairs and plucker_exchange before
+    the kernel expands the two children.
+    """
+    if len(_MEMO) > _MEMO_CAP:
+        _MEMO.clear()
+    key = (g.n, g.edges)
+    out = _MEMO.get(key)
+    if out is not None:
+        return out
     cross = crossing_pairs(g)
     if not cross:
-        out = {g: Fraction(1)}
+        out = {g.edges: 1}
     else:
-        e1, e2 = cross[0]
-        repl = plucker_exchange(g, e1, e2)
-        if __debug__:
-            before = _chord_length(g)
-            for h in repl.terms:
-                assert _chord_length(h) < before - 1e-9
-        out = {}
-        for h, c in repl.terms.items():
-            for k, c2 in _straighten_canonical(h).items():
-                out[k] = out.get(k, Fraction(0)) + c * c2
-        out = {k: v for k, v in sorted(out.items(), key=lambda kv: kv[0].edges) if v}
-    _STRAIGHTEN_MEMO[g] = out
+        step = plucker_exchange(g, *cross[0]).terms
+        assert all(
+            _chord_length(g.n, h.edges) < _chord_length(g.n, g.edges) - 1e-9 for h in step
+        ), "an exchange must shorten the chords"
+        out = _expand(g.n, {h.edges: int(k) for h, k in step.items()})
+    _MEMO[key] = out
     return out
+
+
+def _combination(n: int, degree, flat: Mapping[tuple, object], scale=1) -> GraphCombination:
+    """scale * flat as a GraphCombination, built once from canonical keys."""
+    terms = {}
+    for edges, coeff in sorted(flat.items()):
+        coeff = Fraction(scale * coeff)
+        if coeff:
+            terms[Graph._canonical(n, edges)] = coeff
+    return GraphCombination._canonical(n, terms, degree)
 
 
 def straighten_graph(g: Graph) -> GraphCombination:
     """Straighten a single graph (any orientations) onto the basis."""
     cg, sign = canonicalize(g)
-    flat = _straighten_canonical(cg)
-    return GraphCombination(
-        g.n, {h: sign * c for h, c in flat.items()}, degree=cg.multidegree()
-    )
+    return _combination(g.n, cg.multidegree(), _normal_form(cg), sign)
 
 
 def straighten(c: GraphCombination) -> GraphCombination:
     """Rewrite c on the non-crossing basis; exact, linear, idempotent."""
-    out: dict[Graph, Fraction] = {}
+    out: dict[tuple, Fraction] = {}
     for g, coeff in c.terms.items():
-        for k, c2 in _straighten_canonical(g).items():
-            out[k] = out.get(k, Fraction(0)) + coeff * c2
-    return GraphCombination(c.n, out, degree=c.degree)
+        for k, v in _normal_form(g).items():
+            out[k] = out.get(k, 0) + coeff * v
+    return _combination(c.n, c.degree, out)
 
 
 def adjacent_clumps(sizes: Iterable[int]) -> list[list[int]]:

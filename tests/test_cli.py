@@ -219,12 +219,13 @@ def declared_script(name):
     return scripts[name]
 
 
-def run_child(*args):
+def run_child(*args, stdin=None):
     """Run ``sys.executable *args`` on the imported checkout of graphinv."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, *args],
+        input=stdin,
         capture_output=True,
         text=True,
         env=env,
@@ -273,3 +274,67 @@ def test_basis_json_round_trips_into_eval(capsys, tmp_path):
     gpath.write_text(json.dumps(g))
     code, out, _ = run(capsys, "eval", "--graph", str(gpath), "--points", "0,1,2,3")
     assert code == 0 and out == "1\n"
+
+
+MALFORMED_GRAPHS = [
+    '{"n": 4}',  # no "edges"
+    '{"edges": [[1, 2]]}',  # no "n"
+    '[[1, 3], [2, 4]]',  # not an object
+    '"graph"',
+    '{"n": 4, "edges": [[1]]}',  # an edge that is not a pair
+    '{"n": 4, "edges": [[1, 2, 3]]}',
+    '{"n": 4, "edges": [1, 2]}',
+    '{"n": 4, "edges": {"1": 2}}',
+    '{"n": "x", "edges": []}',  # non-integer entries
+    '{"n": 4, "edges": [[1, "a"]]}',
+    '{"n": 4.5, "edges": [[1, 2]]}',
+    '{"n": 4, "edges": [[1, null]]}',
+    '{"n": 4, "edges": [[true, 2]]}',
+    '{"n": 4, "edges": [[1, 9]]}',  # out of range
+    '{"n": 0, "edges": []}',
+    '{"n": 4, "edges": [[2, 2]]}',  # a loop
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GRAPHS)
+@pytest.mark.parametrize("command", ["straighten", "eval", "kempe"])
+def test_malformed_graph_exits_2(capsys, monkeypatch, command, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    extra = ["--points", "0,1,2,3"] if command == "eval" else []
+    code, out, err = run(capsys, command, "--graph", "-", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+BAD_POINTS = ["0,1,1/0", "0,1,abc,3", "0,1,2,", "0,1,nan,3", "0,1,1/2/3,4"]
+
+
+@pytest.mark.parametrize("points", BAD_POINTS)
+def test_bad_points_exit_2(capsys, tmp_path, points):
+    gpath = write_graph(tmp_path, "g.json", 4, [(1, 3), (2, 4)])
+    for argv in (["eval", "--graph", gpath], ["chart"]):
+        code, out, err = run(capsys, *argv, "--points", points)
+        assert code == 2 and out == ""
+        assert err.startswith("error: MalformedInput:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ['[["0", "1"]]', '{"points": [["0"]]}', '{"points": [["1", "0"], ["0", "0"]]}',
+     '{"points": [["1/0", "1"]]}', '{"affine": "0,1"}', '{"other": []}'],
+)
+def test_malformed_configuration_exits_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "chart", "--config", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput:") and "Traceback" not in err
+
+
+def test_malformed_input_in_a_child_has_no_traceback():
+    for args in (
+        ["straighten", "--graph", "-"],
+        ["chart", "--points", "0,1,1/0"],
+    ):
+        proc = run_child("-m", "graphinv", *args, stdin='{"n": 4, "edges": [[1, 9]]}')
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphinv.errors import LengthMismatch, NoStableConfiguration
+from graphinv.errors import LengthMismatch, MalformedInput, NoStableConfiguration
 from graphinv.evaluation import (
     Configuration,
     Stability,
@@ -49,6 +49,18 @@ def random_config(rng, n):
 def test_configuration_rejects_zero_point():
     with pytest.raises(ValueError):
         Configuration([(0, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("token", ["1/0", "abc", "", "1/2/3", "nan", float("inf"), [1]])
+def test_from_affine_rejects_bad_tokens(token):
+    with pytest.raises(MalformedInput):
+        Configuration.from_affine([0, 1, token])
+
+
+@pytest.mark.parametrize("points", [[(0, 0)], [(1,)], [(1, 2, 3)], ["01"], [("1", "0/0")]])
+def test_configuration_rejects_bad_points(points):
+    with pytest.raises(MalformedInput):
+        Configuration(points)
 
 
 def test_from_affine_tokens():

@@ -4,7 +4,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from graphinv.errors import LengthMismatch, LoopEdge, OddDegreeSum, OddVertexCount, VertexCountMismatch
+from graphinv.errors import (
+    LengthMismatch,
+    LoopEdge,
+    MalformedInput,
+    OddDegreeSum,
+    OddVertexCount,
+    VertexCountMismatch,
+    VertexCountTooSmall,
+    VertexOutOfRange,
+)
 from graphinv.graphs import (
     Graph,
     WeightVector,
@@ -195,3 +204,23 @@ def test_graph_json_round_trip():
     g = Graph(5, [(2, 1), (3, 5)])
     assert graph_from_json(graph_to_json(g)) == g
     assert graph_to_json(g) == {"n": 5, "edges": [[2, 1], [3, 5]]}
+
+
+def test_graph_rejects_bad_vertices():
+    with pytest.raises(VertexCountTooSmall):
+        Graph(0, [])
+    with pytest.raises(VertexOutOfRange):
+        Graph(4, [(1, 9)])
+    with pytest.raises(VertexOutOfRange):
+        Graph(4, [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"n": 4}, {"edges": []}, [[1, 2]], "g", None,
+     {"n": 4, "edges": [[1]]}, {"n": 4, "edges": [[1, 2, 3]]}, {"n": 4, "edges": [1, 2]},
+     {"n": "4", "edges": []}, {"n": 4, "edges": [[1, 2.0]]}, {"n": True, "edges": []}],
+)
+def test_graph_from_json_rejects_malformed(obj):
+    with pytest.raises(MalformedInput):
+        graph_from_json(obj)

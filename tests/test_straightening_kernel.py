@@ -1,0 +1,181 @@
+"""The integer worklist kernel behind straightening, checked against the
+recursive reference engine, the public exchange and the evaluation oracle."""
+
+import inspect
+import math
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from graphinv import straightening
+from graphinv.evaluation import evaluate, evaluate_combination, random_stable_configuration
+from graphinv.graphs import Graph, canonicalize, crossing_pairs
+from graphinv.straightening import plucker_exchange, straighten_graph
+from straightening_reference import chord_length, reference_straighten_graph
+
+
+def random_multigraph(rng, n, max_valence=4):
+    """Random loopless multigraph on 1..n with valences at most max_valence
+    and random orientations; may have isolated vertices."""
+    valence = [0] * (n + 1)
+    edges = []
+    for _ in range(rng.randint(1, 3 * n // 2)):
+        t, h = rng.sample(range(1, n + 1), 2)
+        if valence[t] < max_valence and valence[h] < max_valence:
+            valence[t] += 1
+            valence[h] += 1
+            edges.append((t, h))
+    return Graph(n, edges or [(1, 2)])
+
+
+def random_canonical_edges(rng, n, count):
+    edges = []
+    for _ in range(count):
+        t, h = sorted(rng.sample(range(1, n + 1), 2))
+        edges.append((t, h))
+    return tuple(sorted(edges))
+
+
+def test_kernel_matches_reference_and_oracle():
+    rng = random.Random(2024)
+    for trial in range(250):
+        n = rng.randint(4, 10)
+        g = random_multigraph(rng, n)
+        got = straighten_graph(g)
+        assert got == reference_straighten_graph(g), g
+        assert list(got.terms) == sorted(got.terms, key=lambda h: h.edges)
+        assert got.degree == g.multidegree()
+        c = random_stable_configuration((1,) * n, seed=trial)
+        assert evaluate_combination(got, c) == evaluate(g, c), g
+
+
+def test_first_crossing_is_the_first_crossing_pair():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        edges = random_canonical_edges(rng, n, rng.randint(1, 12))
+        cross = crossing_pairs(Graph(n, edges))
+        assert straightening._first_crossing(edges) == (cross[0] if cross else None)
+
+
+def test_exchange_matches_plucker_exchange():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(4, 10)
+        edges = random_canonical_edges(rng, n, rng.randint(2, 10))
+        cross = crossing_pairs(Graph(n, edges))
+        if not cross:
+            continue
+        i, j = rng.choice(cross)
+        one, two = straightening._exchange(edges, i, j)
+        assert list(one) == sorted(one) and list(two) == sorted(two)
+        want = plucker_exchange(Graph(n, edges), i, j)
+        assert want.terms == {Graph(n, one): Fraction(1), Graph(n, two): Fraction(1)}
+        checked += 1
+
+
+def test_exchange_shortens_total_chord_length():
+    # the termination argument: every exchange strictly shortens the chords
+    rng = random.Random(23)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(4, 14)
+        edges = random_canonical_edges(rng, n, rng.randint(2, 10))
+        pair = straightening._first_crossing(edges)
+        if pair is None:
+            continue
+        before = chord_length(Graph(n, edges))
+        assert math.isclose(straightening._chord_length(n, edges), before)
+        for child in straightening._exchange(edges, *pair):
+            assert chord_length(Graph(n, child)) < before - 1e-9
+        checked += 1
+
+
+def test_expand_is_right_in_any_order(monkeypatch):
+    # With every start graph at length 0 the leaf (12)(34) is taken before
+    # (13)(24), whose exchange then reaches it again.
+    monkeypatch.setattr(straightening, "_chord_length", lambda n, edges: 0.0)
+    crossing, leaf = ((1, 3), (2, 4)), ((1, 2), (3, 4))
+    assert straightening._expand(4, {crossing: 1, leaf: 1}) == {leaf: 2, ((1, 4), (2, 3)): 1}
+
+
+def test_chord_table():
+    for n in (4, 7, 12):
+        table = straightening._chords(n)
+        assert len(table) == n
+        for s in range(1, n):
+            assert math.isclose(table[s], math.sin(math.pi * min(s, n - s) / n))
+
+
+def test_normal_form_coefficients_are_positive_ints():
+    g, _ = canonicalize(Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8), (1, 3), (6, 8)]))
+    flat = straightening._normal_form(g)
+    assert all(type(v) is int and v > 0 for v in flat.values())
+
+
+def test_deep_input_needs_no_recursion():
+    # (X13 X24)^60 = (X12 X34 + X14 X23)^60, sixty exchanges deep
+    m = 60
+    g = Graph(4, [(1, 3)] * m + [(2, 4)] * m)
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        s = straighten_graph(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = {
+        Graph(4, [(1, 2)] * k + [(1, 4)] * (m - k) + [(2, 3)] * (m - k) + [(3, 4)] * k): Fraction(math.comb(m, k))
+        for k in range(m + 1)
+    }
+    assert s.terms == want
+
+
+def test_memo_cap_clears_at_the_next_call(monkeypatch):
+    graphs = [
+        Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8)]),
+        Graph(8, [(1, 4), (2, 6), (3, 8), (5, 7)]),
+        Graph(8, [(1, 3), (2, 6), (4, 7), (5, 8)]),
+    ]
+    want = [reference_straighten_graph(g) for g in graphs]
+    monkeypatch.setattr(straightening, "_MEMO", {})
+    monkeypatch.setattr(straightening, "_MEMO_CAP", 1)
+    assert straighten_graph(graphs[0]) == want[0]
+    assert straighten_graph(graphs[1]) == want[1]
+    assert len(straightening._MEMO) == 2  # over the cap; only a call's entry clears it
+    assert straighten_graph(graphs[2]) == want[2]
+    assert list(straightening._MEMO) == [(8, canonicalize(graphs[2]).graph.edges)]
+    assert straighten_graph(graphs[0]) == want[0]
+
+
+def test_memo_under_cap_is_kept(monkeypatch):
+    g = Graph(6, [(1, 4), (2, 5), (3, 6)])
+    monkeypatch.setattr(straightening, "_MEMO", {})
+    straighten_graph(g)
+    kept = dict(straightening._MEMO)
+    straighten_graph(Graph(6, [(1, 3), (2, 5), (4, 6)]))
+    assert all(straightening._MEMO[k] is v for k, v in kept.items())
+
+
+def random_matching_edges(rng, n):
+    """A random perfect matching of 1..n with random orientations."""
+    verts = list(range(1, n + 1))
+    rng.shuffle(verts)
+    return [(verts[k], verts[k + 1]) for k in range(0, n, 2)]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_straighten_combination_matches_reference(n):
+    # 2-regular graphs, so that every term has the same multidegree
+    rng = random.Random(n)
+    gs = [Graph(n, random_matching_edges(rng, n) + random_matching_edges(rng, n)) for _ in range(6)]
+    comb = straightening.GraphCombination(n, {g: Fraction(k - 2, 3) for k, g in enumerate(gs)})
+    want = straightening.GraphCombination.zero(n)
+    for g, c in comb.terms.items():
+        want = want + c * reference_straighten_graph(g)
+    assert straightening.straighten(comb) == want
+    c = random_stable_configuration((1,) * n, seed=n)
+    assert evaluate_combination(want, c) == evaluate_combination(comb, c)
