@@ -100,10 +100,7 @@ def check_quadric_space(base_seed: int):
     cols = []
     for p in gens:
         red = reduce_to_noncrossing_vars(p)
-        v = [Fraction(0)] * len(monos)
-        for mono, coeff in red.terms.items():
-            v[index[mono]] = coeff
-        cols.append(v)
+        cols.append({index[mono]: coeff for mono, coeff in red.terms.items()})
     r = rank(RationalMatrix.from_columns(cols, height=len(monos)))
     _expect(failures, "rank of reduced binomials", r, 14)
     return not failures, "; ".join(failures) or "dim 14 (n=8), dim 0 (n=6), binomials span rank 14"

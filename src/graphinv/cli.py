@@ -166,6 +166,8 @@ def _cmd_check_ideal(args):
             f"membership for n={args.n} may take far longer than the committed budgets; pass --heavy to attempt it"
         )
     k = args.degree if args.degree is not None else cand.degree
+    if k is None:
+        raise argparse.ArgumentTypeError("the candidate is zero and has no degree; pass --degree")
     gens = simple_binomial_relations(args.n)
     member, cert = ideal_membership(cand, gens, k)
     inputs = {

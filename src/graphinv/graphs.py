@@ -9,6 +9,7 @@ graphs (no two chords cross) index the basis of each graded piece.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -283,3 +284,25 @@ def graph_from_json(obj: dict) -> Graph:
     if not (_is_int(n) and all(_is_int(t) and _is_int(h) for t, h in edges)):
         raise MalformedInput("the vertex count and every endpoint must be integers")
     return Graph(n, edges)
+
+
+def _terms_document(obj, keys: tuple[str, str]) -> tuple[int, list[dict]]:
+    """(n, terms) of {"n": int, "terms": [{key: ..., ...}, ...]}; any other
+    shape raises MalformedInput."""
+    if not isinstance(obj, dict) or not _is_int(obj.get("n")) or not isinstance(obj.get("terms"), list):
+        raise MalformedInput('expected a JSON object with an integer "n" and a list "terms"')
+    for entry in obj["terms"]:
+        if not isinstance(entry, dict) or any(k not in entry for k in keys):
+            raise MalformedInput(f'every term is an object with keys "{keys[0]}" and "{keys[1]}"')
+    return obj["n"], obj["terms"]
+
+
+def _coefficient(x) -> Fraction:
+    """A JSON coefficient: an integer, a finite number, or a rational
+    literal such as "-3/2"; anything else raises MalformedInput."""
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise MalformedInput(f"a coefficient must be a rational number, got {x!r}")

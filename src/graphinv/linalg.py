@@ -1,9 +1,12 @@
 """Exact rational linear algebra: rank, kernel bases, span membership.
 
-Dense Fraction matrices at the API; internally a sparse column-echelon
-that optionally tracks how each reduced row was formed from the original
-columns, so span membership can hand back certificate coefficients.  No
-floating point anywhere.
+Matrices are stored as sparse columns ({row: value}, int wherever a value
+is integral).  Elimination is fraction-free over int: each column is
+scaled to integers by the lcm of its denominators, and a sparse
+column-echelon optionally tracks how each reduced row was formed from the
+original columns, so span membership can hand back certificate
+coefficients.  Fractions appear only in results.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -11,187 +14,269 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 
 _ZERO = Fraction(0)
 
 
-class RationalMatrix:
-    """Immutable dense matrix of exact rationals."""
+def _exact(v) -> int | Fraction:
+    """v as an exact number: an int when integral, else a Fraction."""
+    if type(v) is not int:
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _sparse(items: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
+    return {i: x for i, v in items if (x := _exact(v))}
+
+
+def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | Fraction]:
+    """A dense sequence of length height, or a {row: value} mapping with
+    rows in 0..height-1, as a sparse column."""
+    if isinstance(c, Mapping):
+        col = _sparse(c.items())
+        if any(not 0 <= i < height for i in col):
+            raise DimensionMismatch(f"a row index outside 0..{height - 1}")
+        return col
+    c = tuple(c)
+    if len(c) != height:
+        raise DimensionMismatch(f"vector of length {len(c)} against {height} rows")
+    return _sparse(enumerate(c))
+
+
+class RationalMatrix:
+    """Immutable matrix of exact rationals, stored as sparse columns."""
+
+    __slots__ = ("rows", "cols", "_columns")
 
     def __init__(self, entries: Iterable[Iterable]):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = [tuple(row) for row in entries]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
-        self.entries = rows
-        self.rows = len(rows)
-        self.cols = width
+        self.rows, self.cols = len(rows), width
+        self._columns = tuple(_sparse((i, r[j]) for i, r in enumerate(rows)) for j in range(width))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], height: int | None = None) -> "RationalMatrix":
-        columns = [tuple(c) for c in columns]
-        if not columns:
-            return cls([() for _ in range(height or 0)])
-        h = len(columns[0])
-        if any(len(c) != h for c in columns):
-            raise DimensionMismatch("ragged columns")
-        return cls([[c[i] for c in columns] for i in range(h)])
+    def _of(cls, height: int, columns: list[dict[int, int | Fraction]]) -> "RationalMatrix":
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._columns = height, len(columns), tuple(columns)
+        return m
+
+    @classmethod
+    def from_columns(
+        cls, columns: Sequence[Sequence | Mapping[int, object]], height: int | None = None
+    ) -> "RationalMatrix":
+        """Columns given densely, or as {row: value} mappings with height."""
+        columns = [c if isinstance(c, Mapping) else tuple(c) for c in columns]
+        if height is None:
+            if any(isinstance(c, Mapping) for c in columns):
+                raise DimensionMismatch("sparse columns need a height")
+            height = len(columns[0]) if columns else 0
+        return cls._of(height, [_column(c, height) for c in columns])
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense rows, built from the sparse columns."""
+        dense = [[_ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                dense[i][j] = Fraction(v)
+        return tuple(map(tuple, dense))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
+        col = self._columns[j]
+        return tuple(Fraction(col[i]) if i in col else _ZERO for i in range(self.rows))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([self.column(j) for j in range(self.cols)])
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self._columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return RationalMatrix._of(self.cols, out)
 
     def matvec(self, x: Sequence) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} against {self.cols} columns")
-        x = [Fraction(v) for v in x]
-        live = [j for j, v in enumerate(x) if v]
-        return tuple(sum((r[j] * x[j] for j in live), _ZERO) for r in self.entries)
+        acc: dict[int, Fraction] = {}
+        for j, xj in enumerate(x):
+            xj = Fraction(xj)
+            if xj:
+                for i, v in self._columns[j].items():
+                    acc[i] = acc.get(i, _ZERO) + v * xj
+        return tuple(acc.get(i, _ZERO) for i in range(self.rows))
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return (
+            isinstance(other, RationalMatrix)
+            and self.rows == other.rows
+            and self._columns == other._columns
+        )
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-class _Echelon:
-    """Sparse echelon rows keyed by pivot index; optional provenance.
+def _scaled(col: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
+    """(s * col as ints, s) for s the lcm of the denominators of col."""
+    s = 1
+    for v in col.values():
+        if type(v) is not int:
+            s = math.lcm(s, v.denominator)
+    if s == 1:
+        return dict(col), 1
+    return {i: (v * s).numerator for i, v in col.items()}, s
 
-    Stored rows have their pivot normalized to 1 and pivot = min key, so a
-    vector reduces by walking its support in increasing order; each
-    elimination only introduces larger indices.
+
+def _subtract(acc: dict[int, int], a: int, row: dict[int, int], skip: int | None = None) -> list[int]:
+    """acc -= a * row in place, dropping zeros; returns the new keys."""
+    fresh = []
+    for k, v in row.items():
+        if k == skip:
+            continue
+        cur = acc.get(k)
+        if cur is None:
+            acc[k] = -a * v
+            fresh.append(k)
+        else:
+            cur -= a * v
+            if cur:
+                acc[k] = cur
+            else:
+                del acc[k]
+    return fresh
+
+
+class _Echelon:
+    """Sparse integer echelon rows keyed by pivot index; optional provenance.
+
+    A stored row is primitive (its vec and provenance together have gcd 1)
+    with a positive pivot, and pivot = min key, so a vector reduces by
+    walking its support in increasing order; each elimination only
+    introduces larger indices.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows: dict[int, tuple[dict[int, Fraction], dict[int, Fraction] | None]] = {}
+        self.rows: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
 
-    def reduce(self, vec: dict[int, Fraction], expr: dict[int, Fraction] | None) -> int | None:
-        """Eliminate vec (in place) against stored rows; returns the leading
-        surviving index, or None when vec reduces to zero.  expr, when
-        given, is updated so that vec_original + sum(expr[j] * column_j)
-        stays constant for query vectors (see in_span)."""
+    def reduce(self, vec: dict[int, int], expr: dict[int, int] | None) -> tuple[int | None, int]:
+        """Eliminate vec (in place) against stored rows, fraction-free.
+
+        Returns (p, m): p is the leading surviving index, or None when vec
+        reduces to zero, and m is the running multiplier: the reduced vec
+        is m * vec_original plus a combination of stored rows.  expr, when
+        given, is scaled and updated alongside with the rows' provenance,
+        so vec - sum(expr[j] * column_j) stays m times its starting value
+        (see in_span)."""
         heap = sorted(vec)
+        mult = 1
         while heap:
             p = heapq.heappop(heap)
             c = vec.get(p)
             if not c:
-                vec.pop(p, None)
                 continue
             hit = self.rows.get(p)
             if hit is None:
-                return p
+                return p, mult
             rvec, rexpr = hit
+            b = rvec[p]
+            if b != 1:
+                g = math.gcd(c, b)
+                f, c = b // g, c // g
+                if f != 1:
+                    mult *= f
+                    for k in vec:
+                        vec[k] *= f
+                    if expr:
+                        for k in expr:
+                            expr[k] *= f
             del vec[p]
-            for col, val in rvec.items():
-                if col == p:
-                    continue
-                cur = vec.get(col)
-                if cur is None:
-                    vec[col] = -c * val
-                    heapq.heappush(heap, col)
-                else:
-                    cur = cur - c * val
-                    if cur:
-                        vec[col] = cur
-                    else:
-                        del vec[col]
+            for col in _subtract(vec, c, rvec, p):
+                heapq.heappush(heap, col)
             if expr is not None and rexpr:
-                for col, val in rexpr.items():
-                    cur = expr.get(col, _ZERO) - c * val
-                    if cur:
-                        expr[col] = cur
-                    else:
-                        expr.pop(col, None)
-        return None
+                _subtract(expr, c, rexpr)
+        return None, mult
 
-    def insert(self, vec: dict[int, Fraction], expr: dict[int, Fraction] | None) -> int | None:
+    def insert(self, vec: dict[int, int], expr: dict[int, int] | None) -> int | None:
         """Reduce vec and store it when independent; returns its pivot or None."""
-        p = self.reduce(vec, expr)
+        p, _ = self.reduce(vec, expr)
         if p is None:
             return None
-        c = vec[p]
-        vec = {k: v / c for k, v in vec.items()}
-        if expr is not None:
-            expr = {k: v / c for k, v in expr.items()}
+        g = math.gcd(*vec.values(), *(expr.values() if expr else ()))
+        if vec[p] < 0:
+            g = -g
+        if g != 1:
+            vec = {k: v // g for k, v in vec.items()}
+            if expr is not None:
+                expr = {k: v // g for k, v in expr.items()}
         self.rows[p] = (vec, expr)
         return p
-
-
-def _sparse_column(m: RationalMatrix, j: int) -> dict[int, Fraction]:
-    return {i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j]}
 
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank (column insertion count)."""
     ech = _Echelon()
-    count = 0
-    for j in range(m.cols):
-        if ech.insert(_sparse_column(m, j), None) is not None:
-            count += 1
-    return count
+    return sum(ech.insert(_scaled(col)[0], None) is not None for col in m._columns)
 
 
-def _primitive(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to coprime integers with the first nonzero entry positive."""
-    denom = 1
-    for v in x:
-        if v:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in x]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+def _primitive(x: Sequence[int]) -> tuple[Fraction, ...]:
+    """Scale integers to coprime ones with the first nonzero entry positive."""
+    g = math.gcd(*x)
     if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+        if next(v for v in x if v) < 0:
+            g = -g
+        x = [v // g for v in x]
+    return tuple(Fraction(v) for v in x)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Primitive-integer basis of the right kernel, one vector per
     dependent column, in column order; length = cols - rank."""
     ech = _Echelon()
+    scales = []
     out = []
-    for j in range(m.cols):
-        expr = {j: Fraction(1)}
-        if ech.insert(_sparse_column(m, j), expr) is None:
-            x = [_ZERO] * m.cols
-            for col, val in expr.items():
-                x[col] = val
+    for j, col in enumerate(m._columns):
+        vec, s = _scaled(col)
+        scales.append(s)
+        expr = {j: 1}
+        if ech.insert(vec, expr) is None:
+            # 0 = sum expr[c] * s_c * column_c
+            x = [0] * m.cols
+            for c, val in expr.items():
+                x[c] = val * scales[c]
             out.append(_primitive(x))
     return out
 
 
-def in_span(v: Sequence, m: RationalMatrix) -> tuple[Fraction, ...] | None:
+def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Fraction, ...] | None:
     """Certificate x with m @ x = v, or None when v is outside the column
-    span.  The certificate is re-verified exactly before returning."""
-    v = [Fraction(x) for x in v]
-    if len(v) != m.rows:
-        raise DimensionMismatch(f"vector of length {len(v)} against {m.rows} rows")
+    span.  v is dense, or a {row: value} mapping.  The certificate is the
+    unique solution supported on the greedy independent columns, and it is
+    re-verified exactly before returning."""
+    target = _column(v, m.rows)
     ech = _Echelon()
-    for j in range(m.cols):
-        ech.insert(_sparse_column(m, j), {j: Fraction(1)})
-    qvec = {i: x for i, x in enumerate(v) if x}
-    qexpr: dict[int, Fraction] = {}
-    if ech.reduce(qvec, qexpr) is not None:
+    scales = []
+    for j, col in enumerate(m._columns):
+        vec, s = _scaled(col)
+        scales.append(s)
+        ech.insert(vec, {j: 1})
+    qvec, qs = _scaled(target)
+    qexpr: dict[int, int] = {}
+    p, mult = ech.reduce(qvec, qexpr)
+    if p is not None:
         return None
+    # 0 = mult * qs * v + sum qexpr[c] * s_c * column_c
     x = [_ZERO] * m.cols
-    for col, val in qexpr.items():
-        x[col] = -val
-    if m.matvec(x) != tuple(v):
+    for c, val in qexpr.items():
+        x[c] = Fraction(-val * scales[c], mult * qs)
+    x = tuple(x)
+    if m.matvec(x) != tuple(Fraction(target.get(i, 0)) for i in range(m.rows)):
         raise AssertionError("span certificate failed re-verification")
-    return tuple(x)
+    return x

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import (
     BadExponent,
     DegreeMismatch,
+    MalformedInput,
     NotAMatching,
     OddVertexCount,
     VertexCountMismatch,
@@ -25,6 +26,8 @@ from .errors import (
 from .evaluation import Configuration, evaluate
 from .graphs import (
     Graph,
+    _coefficient,
+    _terms_document,
     canonicalize,
     enumerate_matchings,
     enumerate_noncrossing,
@@ -202,11 +205,8 @@ def noncrossing_monomial_matrix(n: int, k: int) -> RationalMatrix:
     index = {g: i for i, g in enumerate(basis)}
     columns = []
     for mono in monos:
-        v = [Fraction(0)] * len(basis)
         prod = Graph(n, [e for f in mono for e in f.edges])
-        for g, c in straighten_graph(prod).terms.items():
-            v[index[g]] = c
-        columns.append(v)
+        columns.append({index[g]: c for g, c in straighten_graph(prod).terms.items()})
     return RationalMatrix.from_columns(columns, height=len(basis))
 
 
@@ -363,31 +363,27 @@ def ideal_membership(
     monos_k = noncrossing_monomials(n, k)
     index = {m: t for t, m in enumerate(monos_k)}
 
-    def vec_of(poly: GraphPolynomial) -> list[Fraction]:
-        v = [Fraction(0)] * len(monos_k)
-        for mono, c in poly.terms.items():
-            v[index[mono]] = c
-        return v
-
     reduced = [reduce_to_noncrossing_vars(g) for g in generators]
-    columns: list[list[Fraction]] = []
+    cofactors: dict[int, list[tuple[Graph, ...]]] = {}
+    columns: list[dict[int, Fraction]] = []
     provenance: list[tuple[int, tuple[Graph, ...]]] = []
     for gi, red in enumerate(reduced):
         if red.is_zero:
             continue
         if red.degree > k:
             raise DegreeMismatch(f"generator {gi} has degree {red.degree} > {k}")
-        for cof in noncrossing_monomials(n, k - red.degree):
-            v = [Fraction(0)] * len(monos_k)
-            for mono, c in red.terms.items():
-                v[index[_attach_monomial(mono, cof)]] += c
-            columns.append(v)
+        d = k - red.degree
+        if d not in cofactors:
+            cofactors[d] = noncrossing_monomials(n, d)
+        for cof in cofactors[d]:
+            # one cofactor maps distinct monomials to distinct ones: no collisions
+            columns.append({index[_attach_monomial(mono, cof)]: c for mono, c in red.terms.items()})
             provenance.append((gi, cof))
 
     red_cand = reduce_to_noncrossing_vars(candidate)
-    target = vec_of(red_cand)
+    target = {index[mono]: c for mono, c in red_cand.terms.items()}
     if not columns:
-        return (True, []) if not any(target) else (False, None)
+        return (True, []) if not target else (False, None)
     x = in_span(target, RationalMatrix.from_columns(columns, height=len(monos_k)))
     if x is None:
         return (False, None)
@@ -415,9 +411,14 @@ def polynomial_to_json(p: GraphPolynomial) -> dict:
 
 
 def polynomial_from_json(obj: dict) -> GraphPolynomial:
-    n = int(obj["n"])
+    """Parse the form polynomial_to_json writes; any other shape raises
+    MalformedInput."""
+    n, entries = _terms_document(obj, ("coeff", "monomial"))
     terms: dict[tuple[Graph, ...], Fraction] = {}
-    for entry in obj["terms"]:
+    for entry in entries:
+        if not isinstance(entry["monomial"], list):
+            raise MalformedInput('"monomial" must be a list of graphs')
+        coeff = _coefficient(entry["coeff"])
         mono = tuple(graph_from_json(g) for g in entry["monomial"])
         for g in mono:
             if g.n != n:
@@ -426,7 +427,7 @@ def polynomial_from_json(obj: dict) -> GraphPolynomial:
         sign = 1
         for g in mono:
             sign *= canonicalize(g).sign
-        terms[key] = terms.get(key, Fraction(0)) + sign * Fraction(entry["coeff"])
+        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
     return GraphPolynomial(n, terms)
 
 

@@ -29,11 +29,20 @@ from typing import Iterable, Mapping
 
 from .errors import (
     DegreeMismatch,
+    MalformedInput,
     NonContiguousClump,
     SharedEndpoint,
     VertexCountMismatch,
 )
-from .graphs import Graph, canonicalize, crossing_pairs
+from .graphs import (
+    Graph,
+    _coefficient,
+    _is_int,
+    _terms_document,
+    canonicalize,
+    crossing_pairs,
+    graph_from_json,
+)
 
 
 class GraphCombination:
@@ -358,10 +367,14 @@ def combination_to_json(c: GraphCombination) -> dict:
 
 
 def combination_from_json(obj: dict) -> GraphCombination:
-    n = int(obj["n"])
+    """Parse the form combination_to_json writes; any other shape raises
+    MalformedInput."""
+    n, entries = _terms_document(obj, ("coeff", "edges"))
     terms: dict[Graph, Fraction] = {}
-    for entry in obj["terms"]:
-        g = Graph(n, [(int(t), int(h)) for t, h in entry["edges"]])
-        terms[g] = terms.get(g, Fraction(0)) + Fraction(entry["coeff"])
+    for entry in entries:
+        g = graph_from_json({"n": n, "edges": entry["edges"]})
+        terms[g] = terms.get(g, Fraction(0)) + _coefficient(entry["coeff"])
     degree = obj.get("degree")
+    if degree is not None and not (isinstance(degree, list) and all(map(_is_int, degree))):
+        raise MalformedInput('"degree" must be null or a list of integers')
     return GraphCombination(n, terms, degree=tuple(degree) if degree else None)

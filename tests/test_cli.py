@@ -306,6 +306,47 @@ def test_malformed_graph_exits_2(capsys, monkeypatch, command, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+MX_8 = '{"n": 8, "edges": [[1, 2], [3, 4], [5, 6], [7, 8]]}'
+MALFORMED_CANDIDATES = [
+    '[1]',  # not an object
+    '"segre"',
+    '{"n": 8}',  # no "terms"
+    '{"terms": []}',  # no "n"
+    '{"n": "8", "terms": []}',  # non-integer n
+    '{"n": 8.0, "terms": []}',
+    '{"n": true, "terms": []}',
+    '{"n": 8, "terms": {}}',  # non-list terms
+    '{"n": 8, "terms": [1]}',  # a term that is not an object
+    '{"n": 8, "terms": [{"coeff": "1"}]}',  # no "monomial"
+    '{"n": 8, "terms": [{"monomial": [%s]}]}' % MX_8,  # no "coeff"
+    '{"n": 8, "terms": [{"coeff": "1", "monomial": 5}]}',
+    '{"n": 8, "terms": [{"coeff": "x", "monomial": [%s]}]}' % MX_8,  # not a rational literal
+    '{"n": 8, "terms": [{"coeff": "1/0", "monomial": [%s]}]}' % MX_8,
+    '{"n": 8, "terms": [{"coeff": null, "monomial": [%s]}]}' % MX_8,
+    '{"n": 8, "terms": [{"coeff": [1], "monomial": [%s]}]}' % MX_8,
+    '{"n": 8, "terms": [{"coeff": true, "monomial": [%s]}]}' % MX_8,
+    '{"n": 8, "terms": [{"coeff": "1", "monomial": [{"n": 8}]}]}',  # a malformed factor
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CANDIDATES)
+def test_malformed_candidate_exits_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput:") and "Traceback" not in err
+
+
+def test_zero_candidate_needs_a_degree(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 8, "terms": []}'))
+    code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--degree" in err and "Traceback" not in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 8, "terms": []}'))
+    code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8", "--degree", "3")
+    assert code == 0 and out.startswith("member")
+
+
 BAD_POINTS = ["0,1,1/0", "0,1,abc,3", "0,1,2,", "0,1,nan,3", "0,1,1/2/3,4"]
 
 

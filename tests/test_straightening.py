@@ -5,6 +5,7 @@ import pytest
 
 from graphinv.errors import (
     DegreeMismatch,
+    MalformedInput,
     NonContiguousClump,
     SharedEndpoint,
     VertexCountMismatch,
@@ -225,3 +226,22 @@ def test_combination_json_round_trip():
     assert combination_from_json(j) == s
     half = Fraction(1, 2) * s
     assert combination_from_json(combination_to_json(half)) == half
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1],
+        {"n": 4},
+        {"n": "4", "terms": []},
+        {"n": 4, "terms": "x"},
+        {"n": 4, "terms": [{"coeff": "1"}]},
+        {"n": 4, "terms": [{"edges": [[1, 3], [2, 4]]}]},
+        {"n": 4, "terms": [{"coeff": "x", "edges": [[1, 3], [2, 4]]}]},
+        {"n": 4, "terms": [{"coeff": "1", "edges": [[1, "3"], [2, 4]]}]},
+        {"n": 4, "terms": [], "degree": 4},
+    ],
+)
+def test_combination_from_json_rejects_malformed(doc):
+    with pytest.raises(MalformedInput):
+        combination_from_json(doc)
