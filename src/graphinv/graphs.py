@@ -9,10 +9,12 @@ graphs (no two chords cross) index the basis of each graded piece.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
+    DegreeMismatch,
     LengthMismatch,
     LoopEdge,
     MalformedInput,
@@ -209,9 +211,15 @@ def enumerate_matchings(n: int, vertices: Iterable[int] | None = None) -> list[G
 def noncrossing_matchings(n: int, vertices: Iterable[int] | None = None) -> list[Graph]:
     """The non-crossing perfect matchings of the given vertices, sorted
     lexicographically by edge list (monomial orders elsewhere rely on this)."""
-    out = [m for m in enumerate_matchings(n, vertices) if not crossing_pairs(m)]
-    out.sort(key=lambda g: g.edges)
-    return out
+    verts = list(range(1, n + 1)) if vertices is None else [int(v) for v in vertices]
+    if len(verts) % 2:
+        raise OddVertexCount(f"cannot match {len(verts)} vertices")
+    if not all(1 <= v <= n for v in verts):
+        raise VertexOutOfRange(f"vertices {sorted(verts)} outside 1..{n}")
+    chosen = set(verts)
+    if len(chosen) < len(verts):
+        raise LoopEdge(f"a repeated vertex in {sorted(verts)} would match itself")
+    return enumerate_noncrossing(n, [1 if v in chosen else 0 for v in range(1, n + 1)])
 
 
 class WeightVector:
@@ -306,3 +314,87 @@ def _coefficient(x) -> Fraction:
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             pass
     raise MalformedInput(f"a coefficient must be a rational number, got {x!r}")
+
+
+class Combination:
+    """Sparse rational combination of canonical keys, all of one degree.
+
+    The one core behind GraphCombination and GraphPolynomial: keys are
+    canonicalized on construction (folding signs into the coefficients),
+    equal keys merge, zero coefficients are dropped, and terms iterate in
+    the subclass's order.  The zero combination keeps whatever degree it
+    was built with, or None when nothing pinned one down.  A subclass
+    supplies
+
+        _canonical_key(n, key) -> (canonical key, sign, degree), which also
+            validates key;
+        _order(key), the sort key of a canonical key.
+    """
+
+    __slots__ = ("n", "degree", "terms")
+
+    def __init__(self, n: int, terms=None, degree=None):
+        """terms is a mapping or an iterable of (key, coefficient) pairs."""
+        if isinstance(degree, Iterable):
+            degree = tuple(degree)
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        pairs = []
+        for key, coeff in terms or ():
+            coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            key, sign, d = self._canonical_key(n, key)
+            if degree is None:
+                degree = d
+            elif d != degree:
+                raise DegreeMismatch(f"a term of degree {d} in a combination of degree {degree}")
+            pairs.append((key, sign * coeff))
+        self._merge(n, pairs, degree)
+
+    @classmethod
+    def _of(cls, n: int, pairs, degree):
+        """Trusted constructor: (key, coefficient) pairs whose keys are
+        already canonical and of the given degree.  Still merges, drops
+        zeros and sorts."""
+        c = object.__new__(cls)
+        c._merge(n, pairs, degree)
+        return c
+
+    def _merge(self, n: int, pairs, degree) -> None:
+        acc: dict = {}
+        for key, coeff in pairs:
+            acc[key] = acc.get(key, 0) + coeff
+        self.n, self.degree = n, degree
+        self.terms = {k: Fraction(acc[k]) for k in sorted(acc, key=self._order) if acc[k]}
+
+    @classmethod
+    def zero(cls, n: int, degree=None):
+        return cls(n, (), degree=degree)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise VertexCountMismatch(f"{self.n} != {other.n}")
+        if self.degree is not None and other.degree is not None and self.degree != other.degree:
+            raise DegreeMismatch(f"{self.degree} != {other.degree}")
+        degree = self.degree if self.degree is not None else other.degree
+        return self._of(self.n, [*self.terms.items(), *other.terms.items()], degree)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        return self._of(self.n, ((k, scalar * c) for k, c in self.terms.items()), self.degree)
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms

@@ -149,19 +149,19 @@ def neutralize(g: Graph, b: Bipartition) -> GraphCombination:
         raise NotRegular(f"graph on {g.n} vertices, bipartition of {b.n}")
     cg, sign = canonicalize(g)
     work: list[tuple[Graph, Fraction]] = [(cg, Fraction(sign))]
-    done: dict[Graph, Fraction] = {}
+    done: list[tuple[Graph, Fraction]] = []
     while work:
         h, coeff = work.pop()
         pos = [idx for idx, e in enumerate(h.edges) if b.edge_side(e) == 1]
         neg = [idx for idx, e in enumerate(h.edges) if b.edge_side(e) == -1]
         if not pos:
             assert not neg, f"positive/negative edge counts differ in {h!r}"
-            done[h] = done.get(h, Fraction(0)) + coeff
+            done.append((h, coeff))
             continue
         repl = plucker_exchange(h, pos[0], neg[0])
         for h2, c2 in repl.terms.items():
             work.append((h2, coeff * c2))
-    return GraphCombination(g.n, done, degree=g.multidegree())
+    return GraphCombination._of(g.n, done, g.multidegree())
 
 
 def kempe_decompose(g: Graph) -> list[MatchingProduct]:

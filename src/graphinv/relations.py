@@ -11,6 +11,7 @@ regular multidegrees, which decides whether a polynomial is a relation.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .evaluation import Configuration, evaluate
 from .graphs import (
+    Combination,
     Graph,
     _coefficient,
     _terms_document,
@@ -44,11 +46,7 @@ def _factor_key(g: Graph):
     return g.edges
 
 
-def _monomial_key(mono: tuple[Graph, ...]):
-    return tuple(g.edges for g in mono)
-
-
-class GraphPolynomial:
+class GraphPolynomial(Combination):
     """Polynomial in perfect-matching variables.
 
     terms maps a monomial, stored as a sorted tuple of canonical matchings,
@@ -56,64 +54,25 @@ class GraphPolynomial:
     degree).  Orientation flips fold into the coefficients on construction.
     """
 
-    __slots__ = ("n", "terms", "degree")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None, degree: int | None = None):
-        acc: dict[tuple[Graph, ...], Fraction] = {}
-        deg = degree
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            sign = 1
-            canon = []
-            for f in mono:
-                if f.n != n:
-                    raise VertexCountMismatch(f"factor on {f.n} vertices in a polynomial on {n}")
-                cf, s = canonicalize(f)
-                if not cf.is_matching():
-                    raise NotAMatching(f"{f!r} is not a perfect matching")
-                sign *= s
-                canon.append(cf)
-            key = tuple(sorted(canon, key=_factor_key))
-            if deg is None:
-                deg = len(key)
-            elif len(key) != deg:
-                raise DegreeMismatch(f"monomial of length {len(key)} in a degree-{deg} polynomial")
-            acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-        self.n = n
-        self.degree = deg
-        self.terms = {k: v for k, v in sorted(acc.items(), key=lambda kv: _monomial_key(kv[0])) if v}
+    @staticmethod
+    def _canonical_key(n: int, mono: tuple[Graph, ...]):
+        sign = 1
+        canon = []
+        for f in mono:
+            if f.n != n:
+                raise VertexCountMismatch(f"factor on {f.n} vertices in a polynomial on {n}")
+            cf, s = canonicalize(f)
+            if not cf.is_matching():
+                raise NotAMatching(f"{f!r} is not a perfect matching")
+            sign *= s
+            canon.append(cf)
+        return tuple(sorted(canon, key=_factor_key)), sign, len(canon)
 
-    @classmethod
-    def zero(cls, n: int, degree: int | None = None) -> "GraphPolynomial":
-        return cls(n, {}, degree=degree)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GraphPolynomial") -> "GraphPolynomial":
-        if self.n != other.n:
-            raise VertexCountMismatch(f"{self.n} != {other.n}")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return GraphPolynomial(self.n, terms, degree=self.degree if self.degree is not None else other.degree)
-
-    def __sub__(self, other: "GraphPolynomial") -> "GraphPolynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GraphPolynomial":
-        scalar = Fraction(scalar)
-        return GraphPolynomial(self.n, {k: scalar * v for k, v in self.terms.items()}, degree=self.degree)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+    @staticmethod
+    def _order(mono: tuple[Graph, ...]):
+        return tuple(g.edges for g in mono)
 
     def __repr__(self):
         if self.is_zero:
@@ -283,8 +242,13 @@ def _perm_sign(perm: Sequence[int]) -> int:
 
 def odd_power_relation(n: int, g: Graph, i: int) -> GraphPolynomial:
     """Alternating sum over all vertex permutations of the i-th power of one
-    matching variable; a relation for odd i with 1 < i < n-1.  Terms with
-    the same canonical image merge, so the output is far smaller than n!."""
+    matching variable; a relation for odd i with 1 < i < n-1.
+
+    Summed as an orbit: the permutations that carry g onto a matching m
+    form a coset of g's stabilizer (2^(n/2) (n/2)! permutations), on which
+    sign(perm) times the orientation sign is constant.  So m gets
+    2^(n/2) (n/2)! sign(pi), pi sending the k-th edge of canonical g onto
+    the k-th edge of m (s**i == s for odd i)."""
     if n % 2:
         raise OddVertexCount(f"{n} vertices admit no perfect matchings")
     cg, _ = canonicalize(g)
@@ -292,14 +256,14 @@ def odd_power_relation(n: int, g: Graph, i: int) -> GraphPolynomial:
         raise NotAMatching(f"{g!r} is not a perfect matching on {n} vertices")
     if i % 2 == 0 or not (1 < i < n - 1):
         raise BadExponent(f"exponent must be odd with 1 < i < {n - 1}, got {i}")
-    acc: dict[tuple[Graph, ...], int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        img = Graph(n, [(perm[t - 1], perm[h - 1]) for t, h in cg.edges])
-        ci, s = canonicalize(img)
-        key = (ci,) * i
-        # s**i == s for odd i
-        acc[key] = acc.get(key, 0) + _perm_sign(perm) * s
-    return GraphPolynomial(n, {k: Fraction(v) for k, v in acc.items() if v}, degree=i)
+    weight = 2 ** (n // 2) * math.factorial(n // 2)
+    pairs = []
+    for m in enumerate_matchings(n):
+        pi = [0] * n
+        for (a, b), (c, d) in zip(cg.edges, m.edges):
+            pi[a - 1], pi[b - 1] = c, d
+        pairs.append(((m,) * i, weight * _perm_sign(pi)))
+    return GraphPolynomial._of(n, pairs, i)
 
 
 def expand_variable(m: Graph) -> GraphCombination:
@@ -314,16 +278,15 @@ def reduce_to_noncrossing_vars(p: GraphPolynomial) -> GraphPolynomial:
     """Substitute the non-crossing expansion for every matching variable and
     expand; the image of p in the polynomial ring on non-crossing matching
     variables (the quotient by sign and exchange linear relations)."""
-    out: dict[tuple[Graph, ...], Fraction] = {}
+    pairs = []
     for mono, coeff in p.terms.items():
         expansions = [list(expand_variable(f).terms.items()) for f in mono]
         for combo in itertools.product(*expansions):
-            key = tuple(sorted((g for g, _ in combo), key=_factor_key))
             c = coeff
             for _, c2 in combo:
                 c = c * c2
-            out[key] = out.get(key, Fraction(0)) + c
-    return GraphPolynomial(p.n, out, degree=p.degree)
+            pairs.append((tuple(sorted((g for g, _ in combo), key=_factor_key)), c))
+    return GraphPolynomial._of(p.n, pairs, p.degree)
 
 
 def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
@@ -331,10 +294,7 @@ def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
 
     p vanishes on every configuration iff the result is the zero
     combination, by linear independence of the non-crossing basis."""
-    prods: dict[Graph, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        prod = Graph(p.n, [e for f in mono for e in f.edges])
-        prods[prod] = prods.get(prod, Fraction(0)) + coeff
+    prods = [(Graph(p.n, [e for f in mono for e in f.edges]), coeff) for mono, coeff in p.terms.items()]
     deg = (p.degree,) * p.n if p.degree is not None else None
     return straighten(GraphCombination(p.n, prods, degree=deg))
 
@@ -357,6 +317,8 @@ def ideal_membership(
     coefficient) triples with
         candidate = sum coeff * cofactor * generator
     as reduced polynomials, re-verified exactly before returning."""
+    if k < 0:
+        raise DegreeMismatch(f"the degree of a slice must be nonnegative, got {k}")
     if candidate.degree is not None and candidate.degree != k:
         raise DegreeMismatch(f"candidate has degree {candidate.degree}, expected {k}")
     n = candidate.n
@@ -389,13 +351,8 @@ def ideal_membership(
         return (False, None)
     cert = [(provenance[t][0], provenance[t][1], x[t]) for t in range(len(x)) if x[t]]
 
-    check: dict[tuple[Graph, ...], Fraction] = {}
-    for gi, cof, coeff in cert:
-        for mono, c in reduced[gi].terms.items():
-            key = _attach_monomial(mono, cof)
-            check[key] = check.get(key, Fraction(0)) + coeff * c
-    rebuilt = GraphPolynomial(n, check, degree=k)
-    if rebuilt != red_cand:
+    check = ((_attach_monomial(m, cof), coeff * c) for gi, cof, coeff in cert for m, c in reduced[gi].terms.items())
+    if GraphPolynomial._of(n, check, k) != red_cand:
         raise AssertionError("membership certificate failed re-verification")
     return (True, cert)
 
@@ -414,20 +371,17 @@ def polynomial_from_json(obj: dict) -> GraphPolynomial:
     """Parse the form polynomial_to_json writes; any other shape raises
     MalformedInput."""
     n, entries = _terms_document(obj, ("coeff", "monomial"))
-    terms: dict[tuple[Graph, ...], Fraction] = {}
+    terms = []
     for entry in entries:
         if not isinstance(entry["monomial"], list):
             raise MalformedInput('"monomial" must be a list of graphs')
         coeff = _coefficient(entry["coeff"])
         mono = tuple(graph_from_json(g) for g in entry["monomial"])
+        # checked here too: the constructor skips the factors of a zero term
         for g in mono:
             if g.n != n:
                 raise VertexCountMismatch(f"factor on {g.n} vertices in a polynomial on {n}")
-        key = tuple(sorted((canonicalize(g).graph for g in mono), key=_factor_key))
-        sign = 1
-        for g in mono:
-            sign *= canonicalize(g).sign
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+        terms.append((mono, coeff))
     return GraphPolynomial(n, terms)
 
 

@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
-    DegreeMismatch,
     MalformedInput,
     NonContiguousClump,
     SharedEndpoint,
     VertexCountMismatch,
 )
 from .graphs import (
+    Combination,
     Graph,
     _coefficient,
     _is_int,
@@ -45,84 +44,27 @@ from .graphs import (
 )
 
 
-class GraphCombination:
-    """Rational-linear combination of canonical graphs of one multidegree.
+class GraphCombination(Combination):
+    """Rational-linear combination of canonical graphs of one multidegree;
+    flip signs fold into the coefficients, and terms iterate in
+    lexicographic edge order."""
 
-    Keys are canonicalized on construction (folding flip signs into the
-    coefficients), zero coefficients are dropped, and terms iterate in
-    lexicographic edge order.  The zero combination keeps whatever degree
-    it was built with, or None when nothing pinned one down.
-    """
+    __slots__ = ()
 
-    __slots__ = ("n", "degree", "terms")
+    @staticmethod
+    def _canonical_key(n: int, g: Graph):
+        if g.n != n:
+            raise VertexCountMismatch(f"graph on {g.n} vertices in a combination on {n}")
+        cg, sign = canonicalize(g)
+        return cg, sign, cg.multidegree()
 
-    def __init__(self, n: int, terms: Mapping[Graph, object] | None = None, degree=None):
-        acc: dict[Graph, Fraction] = {}
-        deg = tuple(degree) if degree is not None else None
-        for g, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            if g.n != n:
-                raise VertexCountMismatch(f"graph on {g.n} vertices in a combination on {n}")
-            cg, sign = canonicalize(g)
-            d = cg.multidegree()
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise DegreeMismatch(f"mixed multidegrees {deg} and {d}")
-            acc[cg] = acc.get(cg, Fraction(0)) + sign * coeff
-        self.n = n
-        self.degree = deg
-        self.terms = {g: c for g, c in sorted(acc.items(), key=lambda kv: kv[0].edges) if c}
-
-    @classmethod
-    def _canonical(cls, n: int, terms: dict[Graph, Fraction], degree) -> "GraphCombination":
-        """Wrap terms that are already canonical, nonzero and in edge order."""
-        c = object.__new__(cls)
-        c.n, c.degree, c.terms = n, degree, terms
-        return c
+    @staticmethod
+    def _order(g: Graph):
+        return g.edges
 
     @classmethod
     def from_graph(cls, g: Graph, coeff=1) -> "GraphCombination":
-        return cls(g.n, {g: Fraction(coeff)})
-
-    @classmethod
-    def zero(cls, n: int, degree=None) -> "GraphCombination":
-        return cls(n, {}, degree=degree)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GraphCombination") -> "GraphCombination":
-        if self.n != other.n:
-            raise VertexCountMismatch(f"{self.n} != {other.n}")
-        if self.degree is not None and other.degree is not None and self.degree != other.degree:
-            raise DegreeMismatch(f"{self.degree} != {other.degree}")
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, Fraction(0)) + c
-        return GraphCombination(self.n, terms, degree=self.degree or other.degree)
-
-    def __sub__(self, other: "GraphCombination") -> "GraphCombination":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GraphCombination":
-        scalar = Fraction(scalar)
-        return GraphCombination(
-            self.n, {g: scalar * c for g, c in self.terms.items()}, degree=self.degree
-        )
-
-    def __neg__(self) -> "GraphCombination":
-        return (-1) * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GraphCombination)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
+        return cls(g.n, [(g, coeff)])
 
     def __repr__(self):
         if self.is_zero:
@@ -159,10 +101,7 @@ def plucker_exchange(g: Graph, e1: int, e2: int) -> GraphCombination:
     }
     pair = frozenset(((min(a), max(a)), (min(b), max(b))))
     rest = [edges[x] for x in range(len(edges)) if x != e1 and x != e2]
-    terms: dict[Graph, Fraction] = {}
-    for split, coeff in rewrites[pair]:
-        h = Graph(g.n, rest + list(split))
-        terms[h] = terms.get(h, Fraction(0)) + sign * coeff
+    terms = [(Graph(g.n, rest + list(split)), sign * coeff) for split, coeff in rewrites[pair]]
     return GraphCombination(g.n, terms, degree=g.multidegree())
 
 
@@ -289,29 +228,21 @@ def _normal_form(g: Graph) -> dict[tuple, int]:
     return out
 
 
-def _combination(n: int, degree, flat: Mapping[tuple, object], scale=1) -> GraphCombination:
-    """scale * flat as a GraphCombination, built once from canonical keys."""
-    terms = {}
-    for edges, coeff in sorted(flat.items()):
-        coeff = Fraction(scale * coeff)
-        if coeff:
-            terms[Graph._canonical(n, edges)] = coeff
-    return GraphCombination._canonical(n, terms, degree)
+def _combination(n: int, degree, pairs: Iterable[tuple[tuple, object]]) -> GraphCombination:
+    """A GraphCombination of (canonical sorted edges, coefficient) pairs."""
+    return GraphCombination._of(n, ((Graph._canonical(n, es), c) for es, c in pairs), degree)
 
 
 def straighten_graph(g: Graph) -> GraphCombination:
     """Straighten a single graph (any orientations) onto the basis."""
     cg, sign = canonicalize(g)
-    return _combination(g.n, cg.multidegree(), _normal_form(cg), sign)
+    return _combination(g.n, cg.multidegree(), ((es, sign * k) for es, k in _normal_form(cg).items()))
 
 
 def straighten(c: GraphCombination) -> GraphCombination:
     """Rewrite c on the non-crossing basis; exact, linear, idempotent."""
-    out: dict[tuple, Fraction] = {}
-    for g, coeff in c.terms.items():
-        for k, v in _normal_form(g).items():
-            out[k] = out.get(k, 0) + coeff * v
-    return _combination(c.n, c.degree, out)
+    pairs = ((es, coeff * k) for g, coeff in c.terms.items() for es, k in _normal_form(g).items())
+    return _combination(c.n, c.degree, pairs)
 
 
 def adjacent_clumps(sizes: Iterable[int]) -> list[list[int]]:
@@ -342,13 +273,8 @@ def clump_map(c: GraphCombination, clumps: Iterable[Iterable[int]]) -> GraphComb
         for v in cl:
             vmap[v] = idx
     k = len(clumps)
-    out: dict[Graph, Fraction] = {}
-    for g, coeff in c.terms.items():
-        new = [(vmap[t], vmap[h]) for t, h in g.edges]
-        if any(t == h for t, h in new):
-            continue
-        img = Graph(k, new)
-        out[img] = out.get(img, Fraction(0)) + coeff
+    images = (([(vmap[t], vmap[h]) for t, h in g.edges], coeff) for g, coeff in c.terms.items())
+    out = [(Graph(k, new), coeff) for new, coeff in images if all(t != h for t, h in new)]
     deg = None
     if c.degree is not None:
         deg = tuple(sum(c.degree[v - 1] for v in cl) for cl in clumps)
@@ -370,10 +296,7 @@ def combination_from_json(obj: dict) -> GraphCombination:
     """Parse the form combination_to_json writes; any other shape raises
     MalformedInput."""
     n, entries = _terms_document(obj, ("coeff", "edges"))
-    terms: dict[Graph, Fraction] = {}
-    for entry in entries:
-        g = graph_from_json({"n": n, "edges": entry["edges"]})
-        terms[g] = terms.get(g, Fraction(0)) + _coefficient(entry["coeff"])
+    terms = [(graph_from_json({"n": n, "edges": e["edges"]}), _coefficient(e["coeff"])) for e in entries]
     degree = obj.get("degree")
     if degree is not None and not (isinstance(degree, list) and all(map(_is_int, degree))):
         raise MalformedInput('"degree" must be null or a list of integers')

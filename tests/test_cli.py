@@ -379,3 +379,19 @@ def test_malformed_input_in_a_child_has_no_traceback():
         proc = run_child("-m", "graphinv", *args, stdin='{"n": 4, "edges": [[1, 9]]}')
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_negative_degree_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 8, "terms": []}'))
+    code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8", "--degree", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: DegreeMismatch:") and "Traceback" not in err
+
+
+def test_zero_term_on_the_wrong_vertex_count_exits_2(capsys, monkeypatch):
+    # the constructor skips a zero term, so the boundary must check its factors
+    doc = '{"n": 8, "terms": [{"coeff": "0", "monomial": [{"n": 6, "edges": [[1, 2], [3, 4], [5, 6]]}]}]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8", "--degree", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: VertexCountMismatch:") and "Traceback" not in err

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -224,3 +224,30 @@ def test_graph_rejects_bad_vertices():
 def test_graph_from_json_rejects_malformed(obj):
     with pytest.raises(MalformedInput):
         graph_from_json(obj)
+
+
+def filtered_noncrossing_matchings(n, vertices=None):
+    """The filter noncrossing_matchings replaced: every perfect matching,
+    keeping those with no crossing pair."""
+    out = [m for m in enumerate_matchings(n, vertices) if not crossing_pairs(m)]
+    return sorted(out, key=lambda g: g.edges)
+
+
+def test_noncrossing_matchings_match_the_filter():
+    for n in range(2, 13, 2):
+        assert noncrossing_matchings(n) == filtered_noncrossing_matchings(n)
+    for n in (8, 10):
+        for quad in combinations(range(1, n + 1), 4):
+            rest = [v for v in range(1, n + 1) if v not in quad]
+            got = noncrossing_matchings(n, rest)
+            assert got == filtered_noncrossing_matchings(n, rest)
+            assert [m.edges for m in got] == [m.edges for m in filtered_noncrossing_matchings(n, rest)]
+
+
+def test_noncrossing_matchings_errors():
+    with pytest.raises(OddVertexCount):
+        noncrossing_matchings(6, [1, 2, 3])
+    with pytest.raises(VertexOutOfRange):
+        noncrossing_matchings(6, [1, 7])
+    with pytest.raises(LoopEdge):
+        noncrossing_matchings(6, [1, 2, 2, 3])
