@@ -8,14 +8,17 @@ a JSON run report with the shape
 
 where inputs echo the fully parsed data, so a report can be re-run without
 the original files.  Identical argv and seed give identical reports except
-for timing_ms.  Exit status: 0 on success (including negative query
-answers), 1 when a verification check fails, 2 on usage errors or invalid
-input.
+for timing_ms, laid out as ``json.dumps(report, indent=2, sort_keys=True)``
+plus one newline.  Each handler returns its text as a callable, so text is
+rendered only for ``--format text``.  Exit status: 0 on success (including
+negative query answers), 1 when a verification check fails, 2 on usage
+errors or invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,7 +26,7 @@ import time
 from .acceptance import CHECKS, run_acceptance
 from .chart import chart_point_to_json, verify_chart
 from .degree import degree_trace, is_boundary, moduli_degree
-from .errors import BadExponent, GraphInvError
+from .errors import BadExponent, GraphInvError, MalformedInput
 from .evaluation import Configuration, configuration_from_json, configuration_to_json, evaluate
 from .graphs import Graph, enumerate_noncrossing, graph_from_json, graph_to_json, noncrossing_matchings
 from .kempe import kempe_decompose, matching_product_to_json
@@ -51,10 +54,16 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    source = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{source} is not UTF-8: {exc}")
+    except RecursionError:
+        raise MalformedInput(f"{source} is nested too deeply")
 
 
 def _load_configuration(args) -> Configuration:
@@ -79,6 +88,10 @@ def _fmt_combination(comb) -> list[str]:
     return [f"{_fmt_coeff(c)} {_fmt_graph(g)}" for g, c in comb.terms.items()]
 
 
+def _fmt_product(p) -> str:
+    return f"{_fmt_coeff(p.coeff)} " + (" * ".join(_fmt_graph(f) for f in p.factors) or "1")
+
+
 def _fmt_polynomial(p) -> str:
     if p.is_zero:
         return "0"
@@ -93,7 +106,7 @@ def _cmd_eval(args):
     c = _load_configuration(args)
     val = evaluate(g, c)
     inputs = {"graph": graph_to_json(g), "config": configuration_to_json(c)}
-    return inputs, {"value": str(val)}, [], [str(val)], 0
+    return inputs, {"value": str(val)}, [], lambda: [str(val)], 0
 
 
 def _cmd_straighten(args):
@@ -101,7 +114,7 @@ def _cmd_straighten(args):
     comb = straighten_graph(g)
     inputs = {"graph": graph_to_json(g)}
     outputs = {"combination": combination_to_json(comb)}
-    return inputs, outputs, [], _fmt_combination(comb), 0
+    return inputs, outputs, [], lambda: _fmt_combination(comb), 0
 
 
 def _cmd_basis(args):
@@ -111,7 +124,7 @@ def _cmd_basis(args):
     basis = enumerate_noncrossing(args.n, w)
     inputs = {"n": args.n, "weights": list(w)}
     outputs = {"count": len(basis), "graphs": [graph_to_json(g) for g in basis]}
-    return inputs, outputs, [], [_fmt_graph(g) for g in basis], 0
+    return inputs, outputs, [], lambda: [_fmt_graph(g) for g in basis], 0
 
 
 def _cmd_kempe(args):
@@ -119,28 +132,20 @@ def _cmd_kempe(args):
     prods = kempe_decompose(g)
     inputs = {"graph": graph_to_json(g)}
     outputs = {"products": [matching_product_to_json(p) for p in prods]}
-    text = [
-        f"{_fmt_coeff(p.coeff)} " + (" * ".join(_fmt_graph(f) for f in p.factors) or "1")
-        for p in prods
-    ]
-    return inputs, outputs, [], text, 0
+    return inputs, outputs, [], lambda: [_fmt_product(p) for p in prods], 0
 
 
 def _cmd_relations(args):
     n = args.n
     inputs = {"n": n, "type": args.type}
+    to_json, fmt = polynomial_to_json, _fmt_polynomial
     if args.type == "plucker":
         rels = plucker_linear_relations(n)
-        payload = [combination_to_json(r) for r in rels]
-        text = ["  ".join(_fmt_combination(r)) for r in rels]
+        to_json, fmt = combination_to_json, lambda r: "  ".join(_fmt_combination(r))
     elif args.type == "simple-binomial":
         rels = simple_binomial_relations(n)
-        payload = [polynomial_to_json(r) for r in rels]
-        text = [_fmt_polynomial(r) for r in rels]
     elif args.type == "segre":
         rels = [segre_cubic(n)]
-        payload = [polynomial_to_json(r) for r in rels]
-        text = [_fmt_polynomial(r) for r in rels]
     else:
         if args.exponent % 2 == 0:
             raise BadExponent(f"--exponent must be odd, got {args.exponent}")
@@ -148,10 +153,8 @@ def _cmd_relations(args):
         inputs["exponent"] = args.exponent
         inputs["matching"] = graph_to_json(base)
         rels = [odd_power_relation(n, base, args.exponent)]
-        payload = [polynomial_to_json(r) for r in rels]
-        text = [_fmt_polynomial(r) for r in rels]
-    outputs = {"count": len(rels), "relations": payload}
-    return inputs, outputs, [], text, 0
+    outputs = {"count": len(rels), "relations": [to_json(r) for r in rels]}
+    return inputs, outputs, [], lambda: [fmt(r) for r in rels], 0
 
 
 def _cmd_check_ideal(args):
@@ -181,11 +184,8 @@ def _cmd_check_ideal(args):
         "member": member,
         "certificate": certificate_to_json(cert) if cert is not None else None,
     }
-    if member:
-        text = [f"member (certificate with {len(cert)} terms)"]
-    else:
-        text = ["not a member"]
-    return inputs, outputs, [], text, 0
+    line = f"member (certificate with {len(cert)} terms)" if member else "not a member"
+    return inputs, outputs, [], lambda: [line], 0
 
 
 def _render_trace(node: dict, indent: int, lines: list[str]) -> None:
@@ -223,15 +223,19 @@ def _cmd_degree(args):
     if args.trace:
         value, tree = degree_trace(w)
         outputs = {"degree": value, "boundary": boundary, "trace": tree}
-        text: list[str] = []
-        _render_trace(tree, 0, text)
-        text.append(str(value))
     else:
         value = moduli_degree(w)
         outputs = {"degree": value, "boundary": boundary}
-        text = [str(value)]
-    if boundary:
-        text.append("note: boundary weights; every semistable configuration is strictly semistable")
+
+    def text() -> list[str]:
+        lines: list[str] = []
+        if args.trace:
+            _render_trace(tree, 0, lines)
+        lines.append(str(value))
+        if boundary:
+            lines.append("note: boundary weights; every semistable configuration is strictly semistable")
+        return lines
+
     return inputs, outputs, [], text, 0
 
 
@@ -253,12 +257,16 @@ def _cmd_chart(args):
          "details": f"{sum(1 for v in rep.entry_status.values() if v == 'ok')} entries ok, "
                     f"{len(rep.skipped_entries)} skipped"},
     ]
-    text = []
-    for name, mat in (("W", rep.point.W), ("Z", rep.point.Z)):
-        text.append(f"{name}:")
-        for row in mat:
-            text.append("  [ " + "  ".join(str(x) for x in row) + " ]")
-    text.append(f"verified: {bool(rep)}")
+
+    def text() -> list[str]:
+        lines = []
+        for name, mat in (("W", rep.point.W), ("Z", rep.point.Z)):
+            lines.append(f"{name}:")
+            for row in mat:
+                lines.append("  [ " + "  ".join(str(x) for x in row) + " ]")
+        lines.append(f"verified: {bool(rep)}")
+        return lines
+
     return inputs, outputs, checks, text, 0 if rep else 1
 
 
@@ -271,11 +279,12 @@ def _cmd_verify_all(args):
         inputs["only"] = sorted(names)
     passed = sum(1 for r in results if r.passed)
     outputs = {"passed": passed, "total": len(results)}
-    text = [
-        f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.seconds:.2f}s) {r.details}"
-        for r in results
-    ]
-    text.append(f"passed {passed}/{len(results)}")
+
+    def text() -> list[str]:
+        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.seconds:.2f}s) {r.details}" for r in results]
+        lines.append(f"passed {passed}/{len(results)}")
+        return lines
+
     return inputs, outputs, checks, text, 0 if passed == len(results) else 1
 
 
@@ -292,6 +301,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed for randomized checks")
@@ -347,6 +357,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_escape = json.encoder.encode_basestring_ascii
+_LEAF = {
+    str: _escape,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _leaf_list(value, indent: str) -> str:
+    """A non-empty list of str, int, bool and None leaves, in one join;
+    KeyError for anything else."""
+    if type(value) not in (list, tuple) or not value:
+        raise KeyError(type(value))
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join([_LEAF[type(x)](x) for x in value]) + "\n" + indent + "]"
+
+
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` that call runs the pure-Python encoder.  This walks
+    dicts and lists in Python and encodes str, int, bool and None leaves
+    with the C-level helpers; a list of such leaves, or a list of such
+    lists (an edge list), is laid out without a call per item.  Any other
+    leaf goes through ``json.dumps``.
+    """
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_escape(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            return _leaf_list(value, indent)
+        except KeyError:
+            pass
+        try:
+            items = [_leaf_list(x, inner) for x in value]
+        except KeyError:
+            items = [_dumps(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -374,12 +435,17 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "timing_ms": int((time.perf_counter() - t0) * 1000),
         }
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = _dumps(report) + "\n"
     else:
-        payload = "\n".join(text) + "\n" if text else ""
+        lines = text()
+        payload = "\n".join(lines) + "\n" if lines else ""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

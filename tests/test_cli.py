@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphinv
-from graphinv.cli import main
+from graphinv.cli import _build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -199,6 +200,36 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in err
 
 
+REUSE_ARGV = [
+    ["degree"],  # usage error: --weights is required
+    ["--help"],
+    ["straighten", "--help"],
+    ["degree", "--weights", "2,2,2,2,2", "--format", "json"],
+    ["degree", "--weights", "3,3,3,3", "--trace"],
+    ["basis", "--n", "6"],
+    ["basis", "--n", "6", "--format", "json"],
+    ["relations", "--n", "6", "--type", "segre", "--format", "json"],
+    ["chart", "--points", "0,1,2,inf", "--format", "json"],
+    ["chart", "--points", "0,1,2,inf"],
+    ["nonsense"],
+]
+
+
+def test_one_parser_serves_every_call(capsys):
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, re.sub(r'"timing_ms": \d+', '"timing_ms": 0', captured.out), captured.err
+
+    _build_parser.cache_clear()
+    reused = [outcome(argv) for argv in REUSE_ARGV]
+    assert _build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+    for argv, seen in zip(REUSE_ARGV, reused):
+        _build_parser.cache_clear()
+        assert outcome(argv) == seen, argv
+
+
 def declared_script(name):
     """The ``module:function`` target of ``name`` in ``[project.scripts]``."""
     text = PYPROJECT.read_text()
@@ -293,17 +324,24 @@ MALFORMED_GRAPHS = [
     '{"n": 4, "edges": [[1, 9]]}',  # out of range
     '{"n": 0, "edges": []}',
     '{"n": 4, "edges": [[2, 2]]}',  # a loop
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param(b"\xff\xfe{", id="not-utf-8"),
 ]
 
 
 @pytest.mark.parametrize("doc", MALFORMED_GRAPHS)
 @pytest.mark.parametrize("command", ["straighten", "eval", "kempe"])
-def test_malformed_graph_exits_2(capsys, monkeypatch, command, doc):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+def test_malformed_graph_exits_2(capsys, monkeypatch, tmp_path, command, doc):
+    data = doc if isinstance(doc, bytes) else doc.encode()
+    path = tmp_path / "graph.json"
+    path.write_bytes(data)
     extra = ["--points", "0,1,2,3"] if command == "eval" else []
-    code, out, err = run(capsys, command, "--graph", "-", *extra)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for source in ("-", str(path)):
+        # standard input as a UTF-8 locale gives it: strict decoding
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, command, "--graph", source, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 MX_8 = '{"n": 8, "edges": [[1, 2], [3, 4], [5, 6], [7, 8]]}'
@@ -371,12 +409,17 @@ def test_malformed_configuration_exits_2(capsys, monkeypatch, doc):
     assert err.startswith("error: MalformedInput:") and "Traceback" not in err
 
 
-def test_malformed_input_in_a_child_has_no_traceback():
-    for args in (
-        ["straighten", "--graph", "-"],
-        ["chart", "--points", "0,1,1/0"],
+def test_malformed_input_in_a_child_has_no_traceback(tmp_path):
+    bad = '{"n": 4, "edges": [[1, 9]]}'
+    good = '{"n": 4, "edges": [[1, 3], [2, 4]]}'
+    unwritable = str(tmp_path / "missing" / "report.json")
+    for args, stdin in (
+        (["straighten", "--graph", "-"], bad),
+        (["chart", "--points", "0,1,1/0"], bad),
+        (["straighten", "--graph", "-", "--out", unwritable], good),
+        (["straighten", "--graph", "-", "--format", "json", "--out", str(tmp_path)], good),
     ):
-        proc = run_child("-m", "graphinv", *args, stdin='{"n": 4, "edges": [[1, 9]]}')
+        proc = run_child("-m", "graphinv", *args, stdin=stdin)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 

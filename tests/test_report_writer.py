@@ -1,0 +1,144 @@
+"""The CLI's JSON report writer against ``json.dumps(v, indent=2, sort_keys=True)``.
+
+The reference is the standard library call the writer replaced; the
+writer must reproduce it byte for byte, on generated values and on every
+report the benchmark's ops and the remaining subcommands produce.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphinv import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+# Text that json escapes or that looks like the layout itself.
+TRICKY = ['"', "\\", ", ", ",\n", ": ", "[", "]", "{", "}", "[]", "{}", "\x00", "\x1f", "\x7f", "\t\r\n",
+          "é", " ", "﻿", "\U0001f600", "\ud800", "null", "true", "0"]
+strings = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.sampled_from(TRICKY), max_size=4).map("".join),
+    st.sampled_from(TRICKY),
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+    strings,
+)
+
+
+def json_values(depth: int):
+    """Values nested at most ``depth`` containers deep, empty ones included;
+    lists mix leaves and containers, and some are tuples."""
+    if depth == 0:
+        return leaves
+    children = json_values(depth - 1)
+    return st.one_of(
+        leaves,
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values(6))
+def test_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == reference(value)
+
+
+def test_writer_on_edge_lists_and_leaf_lists():
+    value = {
+        "edges": [[1, 2], [3, -4], [], [5]],
+        "pairs": [(1, 2), (3, 4)],
+        "mixed": [1, [2, 3], {"a": []}, [[]], [{}], "x", None, True, 1.5],
+        "leaves": [1, "a", None, False, 2 ** 70],
+        "nested": [[[1, 2], [3, 4]], [[5, 6]]],
+    }
+    assert cli._dumps(value) == reference(value)
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """Run argv through ``cli.main`` with ``--format json``; returns each
+    report value the writer saw, its output and stdout."""
+    writer = cli._dumps
+    seen = []
+
+    def spy(value, indent=""):
+        text = writer(value, indent)
+        if indent == "":
+            seen.append((value, text))
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", spy)
+
+    def run(argv, stdin=None):
+        seen.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--format", "json"])
+        assert len(seen) == 1, argv
+        (value, text), = seen
+        return code, value, text, out.getvalue()
+
+    return run
+
+
+@pytest.mark.parametrize("workload", ["straighten", "membership", "relations"])
+def test_every_benchmark_report_matches_json_dumps(reports, workload):
+    # The relations ops include verify-all --full.
+    ops = [op for op in load_workloads().make_ops(workload, 7) if op.argv is not None]
+    assert ops
+    for op in ops:
+        code, value, text, out = reports(op.argv, op.stdin)
+        assert code == 0, op.argv
+        assert text == reference(value), op.argv
+        assert out == text + "\n"
+
+
+G6 = '{"n": 6, "edges": [[1, 4], [2, 5], [3, 6], [1, 2], [3, 4], [5, 6]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["chart", "--points", "0,1,2,3,5,inf"], None),
+        (["chart", "--points", "0,0,1,inf"], None),  # a failing chart: exit 1
+        (["kempe", "--graph", "-"], G6),
+        (["eval", "--graph", "-", "--points", "0,1,2,3,5,inf"], G6),
+        (["degree", "--weights", "1,1,1,1,1,1,1,1", "--trace"], None),
+        (["degree", "--weights", "3,3,3,3", "--trace"], None),
+    ],
+)
+def test_other_reports_match_json_dumps(reports, argv, stdin):
+    code, value, text, out = reports(argv, stdin)
+    assert code in (0, 1)
+    assert text == reference(value)
+    assert out == text + "\n"
