@@ -5,10 +5,17 @@ zero.  A graph evaluates to the product over its edges of
 u_head*v_tail - u_tail*v_head, and a combination evaluates linearly.
 Everything here is exact; this module is the oracle the rest of the
 library is tested against.
+
+A Configuration keeps its points as Fractions, and alongside each point
+the integer pair (U, V) = s*(u, v) with s the lcm of the two
+denominators.  evaluate multiplies the integer brackets U_h*V_t - U_t*V_h
+and the scales s_t*s_h, and builds one Fraction per call from the two
+products; results are Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from enum import Enum
 from fractions import Fraction
@@ -36,20 +43,29 @@ def _rational(x) -> Fraction:
 
 
 class Configuration:
-    """n points on the projective line in homogeneous rational coordinates."""
+    """n points on the projective line in homogeneous rational coordinates.
 
-    __slots__ = ("points",)
+    points holds the (u, v) pairs as Fractions; _scaled holds, per point,
+    the integers (U, V, s) with s = lcm of the denominators of u and v and
+    (U, V) = s*(u, v)."""
+
+    __slots__ = ("points", "_scaled")
 
     def __init__(self, points: Iterable[tuple]):
         pts = []
+        scaled = []
         for p in points:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise MalformedInput(f"a point is a pair of rationals, got {p!r}")
             u, v = _rational(p[0]), _rational(p[1])
-            if u == 0 and v == 0:
+            (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
+            if not (nu or nv):
                 raise MalformedInput("(0, 0) is not a projective point")
+            s = math.lcm(du, dv)
             pts.append((u, v))
+            scaled.append((nu * (s // du), nv * (s // dv), s))
         self.points = tuple(pts)
+        self._scaled = tuple(scaled)
 
     @classmethod
     def from_affine(cls, values: Iterable) -> "Configuration":
@@ -68,9 +84,9 @@ class Configuration:
 
     def coincide(self, i: int, j: int) -> bool:
         """True iff points i and j (1-based) are projectively equal."""
-        ui, vi = self.points[i - 1]
-        uj, vj = self.points[j - 1]
-        return ui * vj - uj * vi == 0
+        ui, vi, _ = self._scaled[i - 1]
+        uj, vj, _ = self._scaled[j - 1]
+        return ui * vj == uj * vi
 
     def __eq__(self, other):
         return isinstance(other, Configuration) and self.points == other.points
@@ -81,18 +97,22 @@ class Configuration:
 
 
 def evaluate(g: Graph, c: Configuration) -> Fraction:
-    """Product over edges of u_head*v_tail - u_tail*v_head, exact."""
-    pts = c.points
+    """Product over edges of u_head*v_tail - u_tail*v_head, exact.
+
+    Each factor is (U_h*V_t - U_t*V_h) / (s_t*s_h) on the scaled integer
+    points, so both products stay in int and one Fraction is built."""
+    pts = c._scaled
     if g.n != len(pts):
         raise LengthMismatch(f"graph on {g.n} vertices, configuration of {len(pts)} points")
-    out = Fraction(1)
+    num = den = 1
     for t, h in g.edges:
-        ut, vt = pts[t - 1]
-        uh, vh = pts[h - 1]
-        out *= uh * vt - ut * vh
-        if not out:
+        ut, vt, st = pts[t - 1]
+        uh, vh, sh = pts[h - 1]
+        num *= uh * vt - ut * vh
+        if not num:
             break
-    return out
+        den *= st * sh
+    return Fraction(num, den)
 
 
 def evaluate_combination(comb, c: Configuration) -> Fraction:
@@ -145,7 +165,7 @@ def random_stable_configuration(w, seed: int) -> Configuration:
         if x in seen:
             continue
         seen.add(x)
-        pts.append((Fraction(x), Fraction(1)))
+        pts.append((x, 1))
     return Configuration(pts)
 
 

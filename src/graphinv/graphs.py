@@ -167,23 +167,23 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
         suffix[v] = suffix[v + 1] + degree[v - 1]
 
     results: list[Graph] = []
-
-    def place(v: int, stack: list[int], edges: list[tuple[int, int]]) -> None:
+    # depth-first over (next vertex, open arc endpoints, edges so far); an
+    # explicit worklist, so the depth is not bounded by the recursion limit
+    todo: list[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]] = [(1, (), ())]
+    while todo:
+        v, stack, edges = todo.pop()
         if v > n:
             if not stack:
                 results.append(Graph(n, sorted(edges)))
-            return
+            continue
         d = degree[v - 1]
         rest = suffix[v + 1]
         for close in range(min(d, len(stack)) + 1):
             open_after = len(stack) - close + (d - close)
             if open_after > rest or (rest - open_after) % 2:
                 continue
-            new_edges = edges + [(u, v) for u in stack[len(stack) - close:]]
-            new_stack = stack[: len(stack) - close] + [v] * (d - close)
-            place(v + 1, new_stack, new_edges)
-
-    place(1, [], [])
+            keep = len(stack) - close
+            todo.append((v + 1, stack[:keep] + (v,) * (d - close), edges + tuple((u, v) for u in stack[keep:])))
     results.sort(key=lambda g: g.edges)
     return results
 

@@ -226,14 +226,17 @@ def rank(m: RationalMatrix) -> int:
     return sum(ech.insert(_scaled(col)[0], None) is not None for col in m._columns)
 
 
-def _primitive(x: Sequence[int]) -> tuple[Fraction, ...]:
-    """Scale integers to coprime ones with the first nonzero entry positive."""
-    g = math.gcd(*x)
-    if g:
-        if next(v for v in x if v) < 0:
-            g = -g
-        x = [v // g for v in x]
-    return tuple(Fraction(v) for v in x)
+def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
+    """The dense vector of length `length` with the nonzero integers x
+    ({index: value}) scaled to coprime ones, the first nonzero entry
+    positive; every zero entry is the shared _ZERO."""
+    g = math.gcd(*x.values())
+    if g and x[min(x)] < 0:
+        g = -g
+    out = [_ZERO] * length
+    for i, v in x.items():
+        out[i] = Fraction(v // g)
+    return tuple(out)
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
@@ -248,10 +251,7 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
         expr = {j: 1}
         if ech.insert(vec, expr) is None:
             # 0 = sum expr[c] * s_c * column_c
-            x = [0] * m.cols
-            for c, val in expr.items():
-                x[c] = val * scales[c]
-            out.append(_primitive(x))
+            out.append(_primitive({c: val * scales[c] for c, val in expr.items()}, m.cols))
     return out
 
 

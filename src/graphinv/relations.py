@@ -35,7 +35,6 @@ from .graphs import (
     enumerate_noncrossing,
     graph_from_json,
     graph_to_json,
-    multiply,
     noncrossing_matchings,
 )
 from .linalg import RationalMatrix, in_span, kernel_basis
@@ -93,6 +92,17 @@ def evaluate_polynomial(p: GraphPolynomial, c: Configuration) -> Fraction:
     return total
 
 
+def _canonical_graph(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """The graph on valid edges, each oriented tail < head, once sorted;
+    built without re-checking them."""
+    return Graph._canonical(n, tuple(sorted(edges)))
+
+
+def _canonical_monomial(n: int, *factors: tuple[tuple[int, int], ...]) -> tuple[Graph, ...]:
+    """The canonical monomial of matchings given as tail < head edge tuples."""
+    return tuple(sorted((_canonical_graph(n, f) for f in factors), key=_factor_key))
+
+
 def plucker_linear_relations(n: int) -> list[GraphCombination]:
     """Three-term exchange relations among matchings: for each four vertices
     i<j<k<l and each matching of the rest, {ij,kl} - {ik,jl} + {il,jk}."""
@@ -100,18 +110,19 @@ def plucker_linear_relations(n: int) -> list[GraphCombination]:
         raise OddVertexCount(f"{n} vertices admit no perfect matchings")
     if n < 4:
         raise VertexCountTooSmall("need at least 4 vertices")
+    degree = (1,) * n
     out = []
     for quad in itertools.combinations(range(1, n + 1), 4):
         i, j, k, l = quad
         rest = [v for v in range(1, n + 1) if v not in quad]
         for gamma in enumerate_matchings(n, rest):
-            base = list(gamma.edges)
-            terms = {
-                Graph(n, base + [(i, j), (k, l)]): Fraction(1),
-                Graph(n, base + [(i, k), (j, l)]): Fraction(-1),
-                Graph(n, base + [(i, l), (j, k)]): Fraction(1),
-            }
-            out.append(GraphCombination(n, terms, degree=(1,) * n))
+            base = gamma.edges
+            terms = (
+                (_canonical_graph(n, base + ((i, j), (k, l))), 1),
+                (_canonical_graph(n, base + ((i, k), (j, l))), -1),
+                (_canonical_graph(n, base + ((i, l), (j, k))), 1),
+            )
+            out.append(GraphCombination._of(n, terms, degree))
     return out
 
 
@@ -137,15 +148,15 @@ def simple_binomial_relations(n: int) -> list[GraphPolynomial]:
     out = []
     for quad in quads:
         i, j, k, l = quad
-        d1 = Graph(n, [(i, j), (k, l)])
-        d2 = Graph(n, [(i, l), (j, k)])
+        d1 = ((i, j), (k, l))
+        d2 = ((i, l), (j, k))
         rest = [v for v in range(1, n + 1) if v not in quad]
-        g1, g2 = noncrossing_matchings(n, rest)[:2]
-        terms = {
-            (multiply(g1, d1), multiply(g2, d2)): Fraction(1),
-            (multiply(g1, d2), multiply(g2, d1)): Fraction(-1),
-        }
-        out.append(GraphPolynomial(n, terms, degree=2))
+        g1, g2 = (g.edges for g in noncrossing_matchings(n, rest)[:2])
+        terms = (
+            (_canonical_monomial(n, g1 + d1, g2 + d2), 1),
+            (_canonical_monomial(n, g1 + d2, g2 + d1), -1),
+        )
+        out.append(GraphPolynomial._of(n, terms, 2))
     return out
 
 

@@ -251,3 +251,19 @@ def test_noncrossing_matchings_errors():
         noncrossing_matchings(6, [1, 7])
     with pytest.raises(LoopEdge):
         noncrossing_matchings(6, [1, 2, 2, 3])
+
+
+def test_enumerate_noncrossing_is_not_bounded_by_the_recursion_limit():
+    # the sweep visits every vertex; far more vertices than the default
+    # recursion limit of 1000
+    assert noncrossing_matchings(1200, [1, 2]) == [Graph(1200, [(1, 2)])]
+    assert enumerate_noncrossing(1200, (1, 1) + (0,) * 1198) == [Graph(1200, [(1, 2)])]
+    got = enumerate_noncrossing(1500, (1,) + (0,) * 1497 + (2, 1))
+    assert [g.edges for g in got] == [((1, 1499), (1499, 1500))]
+
+
+def test_enumerate_noncrossing_output_is_sorted():
+    for n, w in [(8, (2,) * 8), (9, (3, 1, 2, 2, 1, 3, 2, 1, 3)), (10, (1,) * 10)]:
+        got = enumerate_noncrossing(n, w)
+        assert [g.edges for g in got] == sorted(g.edges for g in got)
+        assert all(g.edges == tuple(sorted(g.edges)) for g in got)
