@@ -40,6 +40,7 @@ from .relations import (
     segre_cubic,
     simple_binomial_relations,
 )
+from .report import dumps as _dumps
 from .straightening import combination_to_json, straighten_graph
 
 
@@ -352,60 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tier = p.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true", help="fast subset")
     tier.add_argument("--full", action="store_true", help="every check (default)")
-    p.add_argument("--only", nargs="*", choices=[name for name, _, _ in CHECKS], help="run a named subset")
+    p.add_argument("--only", nargs="+", choices=[name for name, _, _ in CHECKS], help="run a named subset")
 
     return parser
-
-
-_escape = json.encoder.encode_basestring_ascii
-_LEAF = {
-    str: _escape,
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
-def _leaf_list(value, indent: str) -> str:
-    """A non-empty list of str, int, bool and None leaves, in one join;
-    KeyError for anything else."""
-    if type(value) not in (list, tuple) or not value:
-        raise KeyError(type(value))
-    inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join([_LEAF[type(x)](x) for x in value]) + "\n" + indent + "]"
-
-
-def _dumps(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
-
-    With ``indent`` that call runs the pure-Python encoder.  This walks
-    dicts and lists in Python and encodes str, int, bool and None leaves
-    with the C-level helpers; a list of such leaves, or a list of such
-    lists (an edge list), is laid out without a call per item.  Any other
-    leaf goes through ``json.dumps``.
-    """
-    leaf = _LEAF.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_escape(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            return _leaf_list(value, indent)
-        except KeyError:
-            pass
-        try:
-            items = [_leaf_list(x, inner) for x in value]
-        except KeyError:
-            items = [_dumps(x, inner) for x in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return json.dumps(value)
 
 
 def main(argv=None) -> int:
@@ -427,6 +377,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
+        text = None  # release what the closure holds (for plucker, every relation) before the layout
         report = {
             "command": args.command,
             "inputs": inputs,

@@ -152,7 +152,10 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
     v we close some number c of arcs (necessarily the most recently opened
     ones, or a crossing appears) and open the remaining valence as new arcs.
     The stack discipline makes every non-crossing graph appear exactly once.
-    Output sorted lexicographically by edge list.
+    A branch is cut when the arcs left open and the later valences cannot
+    meet: their total must be even, and no later vertex may need more than
+    the open arcs plus the other later valences.  Output sorted
+    lexicographically by edge list.
     """
     degree = tuple(int(x) for x in degree)
     if len(degree) != n:
@@ -162,9 +165,12 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
     if sum(degree) % 2:
         raise OddDegreeSum(f"multidegree total {sum(degree)} is odd")
 
+    # sum and max of the valences of vertices v..n
     suffix = [0] * (n + 2)
+    suffix_max = [0] * (n + 2)
     for v in range(n, 0, -1):
         suffix[v] = suffix[v + 1] + degree[v - 1]
+        suffix_max[v] = max(suffix_max[v + 1], degree[v - 1])
 
     results: list[Graph] = []
     # depth-first over (next vertex, open arc endpoints, edges so far); an
@@ -177,10 +183,10 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
                 results.append(Graph(n, sorted(edges)))
             continue
         d = degree[v - 1]
-        rest = suffix[v + 1]
+        rest, most = suffix[v + 1], suffix_max[v + 1]
         for close in range(min(d, len(stack)) + 1):
             open_after = len(stack) - close + (d - close)
-            if open_after > rest or (rest - open_after) % 2:
+            if open_after > rest or (rest - open_after) % 2 or 2 * most > open_after + rest:
                 continue
             keep = len(stack) - close
             todo.append((v + 1, stack[:keep] + (v,) * (d - close), edges + tuple((u, v) for u in stack[keep:])))

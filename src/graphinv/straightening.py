@@ -21,7 +21,7 @@ are built once, from the finished expansion.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable
@@ -128,14 +128,16 @@ def _chord_length(n: int, edges: tuple) -> float:
     return sum([chord[h - t] for t, h in edges])
 
 
-def _first_crossing(edges: tuple) -> tuple[int, int] | None:
+def _first_crossing(edges: tuple, start: int = 0) -> tuple[int, int] | None:
     """The lex-first index pair i < j of canonical sorted edges (a, b),
-    (c, d) with a < c < b < d, or None when no two edges cross.
+    (c, d) with a < c < b < d, or None when no two edges cross; the scan
+    starts at i = start, so the caller vouches that no edge before start
+    crosses any edge.
 
     Sorted tails make c >= a, so (a, b) crosses no later edge once c >= b.
     """
     m = len(edges)
-    for i in range(m - 1):
+    for i in range(start, m - 1):
         a, b = edges[i]
         for j in range(i + 1, m):
             c, d = edges[j]
@@ -175,16 +177,31 @@ def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
     graph is taken before it.  The order only saves work: a graph taken
     too early would be exchanged again later, which linearity makes
     harmless.  Coefficients stay positive, so nothing cancels.
+
+    Next to its coefficient each pending graph keeps a hint: an index
+    before which no edge crosses any edge, where its crossing search
+    starts.  When a parent's lex-first crossing pair (a, b), (c, d) sits
+    at indices i < j, its children get the hint r, the number of parent
+    edges with tail < a.  Those r edges come before i, so they cross no
+    parent edge, and they stay the first r edges of both children, whose
+    new edges (a, c), (b, d), (a, d) and (c, b) all have tail >= a.  Nor
+    do they cross a new edge: an edge (p, q) with p < a that crossed one
+    would cross (a, b) or (c, d) (for (a, c): p < a < q < c < b; for
+    (b, d): p < c < b < q < d; for (a, d): p < a < q < b, or
+    p < c < q < d when q >= b; for (c, b): p < a < c < q < b).  A child
+    reached from several parents keeps the smallest hint.  The search
+    still finds each graph's lex-first pair, so the same exchanges happen.
     """
     chord = _chords(n)
-    pending = dict(start)
+    # canonical sorted edges -> [coefficient, hint]
+    pending = {es: [k, 0] for es, k in start.items()}
     todo = [(-_chord_length(n, es), es) for es in pending]
     heapify(todo)
     out: dict[tuple, int] = {}
     while todo:
         neg_length, es = heappop(todo)
-        k = pending.pop(es)
-        pair = _first_crossing(es)
+        k, hint = pending.pop(es)
+        pair = _first_crossing(es, hint)
         if pair is None:
             out[es] = out.get(es, 0) + k
             continue
@@ -192,12 +209,16 @@ def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
         crossed = chord[b - a] + chord[d - c]
         shorter = (chord[c - a] + chord[d - b], chord[d - a] + chord[b - c])
         assert max(shorter) < crossed - 1e-9, "an exchange must shorten the chords"
+        r = bisect_left(es, (a, 0))
         for child, length in zip(_exchange(es, *pair), shorter):
-            if child in pending:
-                pending[child] += k
-            else:
-                pending[child] = k
+            entry = pending.get(child)
+            if entry is None:
+                pending[child] = [k, r]
                 heappush(todo, (neg_length + crossed - length, child))
+            else:
+                entry[0] += k
+                if r < entry[1]:
+                    entry[1] = r
     return out
 
 

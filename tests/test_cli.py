@@ -180,6 +180,14 @@ def test_verify_all_only(capsys):
     assert lines[0].startswith("[PASS] counting")
 
 
+@pytest.mark.parametrize("tier", [[], ["--quick"], ["--full"]])
+def test_verify_all_only_without_names_is_usage_error(capsys, tier):
+    # --only with no names once ran every check of the tier
+    code, out, err = run(capsys, "verify-all", *tier, "--only")
+    assert code == 2 and out == ""
+    assert "--only" in err and "Traceback" not in err
+
+
 def test_verify_all_quick(capsys):
     code, out, _ = run(capsys, "verify-all", "--quick")
     assert code == 0

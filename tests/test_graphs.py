@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -28,6 +29,7 @@ from graphinv.graphs import (
     multiply,
     noncrossing_matchings,
 )
+from graphs_reference import reference_enumerate_noncrossing
 
 
 def geometric_cross(n, e, f):
@@ -267,3 +269,27 @@ def test_enumerate_noncrossing_output_is_sorted():
         got = enumerate_noncrossing(n, w)
         assert [g.edges for g in got] == sorted(g.edges for g in got)
         assert all(g.edges == tuple(sorted(g.edges)) for g in got)
+
+
+def test_enumerate_noncrossing_skewed_multidegree_is_fast():
+    # one graph, the star into vertex n; without the cut on the largest
+    # later valence the sweep's time grows about 3.6-fold per two vertices
+    n = 40
+    t0 = time.perf_counter()
+    got = enumerate_noncrossing(n, (1,) * (n - 1) + (n - 1,))
+    assert time.perf_counter() - t0 < 1.0
+    assert [g.edges for g in got] == [tuple((v, n) for v in range(1, n))]
+
+
+def test_enumerate_noncrossing_matches_the_unpruned_sweep():
+    rng = random.Random(12)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 9)
+        w = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n)]
+        if checked % 3 == 0:
+            w[rng.randrange(n)] = rng.randint(2, 8)  # skewed: one heavy vertex
+        if sum(w) % 2:
+            w[rng.randrange(n)] += 1
+        assert enumerate_noncrossing(n, w) == reference_enumerate_noncrossing(n, w), w
+        checked += 1

@@ -9,6 +9,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import random
+import re
 import sys
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphinv import cli
+from graphinv import cli, report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +83,76 @@ def test_writer_on_edge_lists_and_leaf_lists():
         "nested": [[[1, 2], [3, 4]], [[5, 6]]],
     }
     assert cli._dumps(value) == reference(value)
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Record whether each batch of lists took the batch path (True) or
+    fell back to the generic walk (False)."""
+    batch = report._edge_lists
+    taken = []
+
+    def spy(values, indent):
+        out = batch(values, indent)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(report, "_edge_lists", spy)
+    return taken
+
+
+def edge_list(rng, n, m):
+    return [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(m)]
+
+
+def test_writer_batches_more_edge_lists_than_one_batch_holds(batches):
+    rng = random.Random(3)
+    count = 2 * report._BATCH + 5
+    value = {"terms": [{"coeff": str(k - 7), "edges": edge_list(rng, 12, rng.randint(1, 9))} for k in range(count)]}
+    assert cli._dumps(value) == reference(value)
+    assert batches == [True] * 3  # 64 + 64 + 5 edge lists
+
+
+@pytest.mark.parametrize("odd", [
+    [[[1, 2]], [[3, 4]]],  # three deep
+    [[1, "2"]],  # a row holding a string
+    [[1, 2], {}],
+    [[1, 2], []],
+    [[1, 2], [{"a": 1}]],
+    [],
+    [[1, 2], 3],
+    [1, 2],  # scalars, not rows
+])
+def test_writer_falls_back_inside_one_indent_group(batches, odd):
+    rng = random.Random(5)
+    terms = [{"coeff": "1", "edges": edge_list(rng, 8, 4)} for _ in range(5)]
+    terms.insert(2, {"coeff": "-1", "edges": odd})
+    value = {"outputs": {"terms": terms}, "odd": [odd, [[1, 2]]]}
+    assert cli._dumps(value) == reference(value)
+    assert False in batches
+
+
+def test_writer_on_tuple_rows_and_special_scalars(batches):
+    specials = [True, False, None, float("nan"), float("inf"), float("-inf"), 1e300, -0.0, 2 ** 70, -(2 ** 70)]
+    value = {
+        "tuples": [[(1, 2), (3, 4)], ((5, 6),), ([7, 8], (9, 10))],
+        "special": [[[x, x] for x in specials], [specials]],
+        "flat": [specials, tuple(specials)],  # scalar lists take the generic walk
+    }
+    assert cli._dumps(value) == reference(value)
+    assert batches and all(batches)
+
+
+def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
+    argv = ["relations", "--type", "plucker", "--n", "8", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    got = target.read_bytes()
+    assert json.loads(got)["outputs"]["count"] == 210  # C(8,4) quadruples times 3!! matchings of the rest
+    assert re.sub(rb'"timing_ms": \d+', b"", got) == re.sub(rb'"timing_ms": \d+', b"", out.encode())
 
 
 @pytest.fixture

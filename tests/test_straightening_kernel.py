@@ -11,7 +11,7 @@ import pytest
 
 from graphinv import straightening
 from graphinv.evaluation import evaluate, evaluate_combination, random_stable_configuration
-from graphinv.graphs import Graph, canonicalize, crossing_pairs
+from graphinv.graphs import Graph, canonicalize, crossing_pairs, edges_cross
 from graphinv.straightening import plucker_exchange, straighten_graph
 from straightening_reference import chord_length, reference_straighten_graph
 
@@ -179,3 +179,42 @@ def test_straighten_combination_matches_reference(n):
     assert straightening.straighten(comb) == want
     c = random_stable_configuration((1,) * n, seed=n)
     assert evaluate_combination(want, c) == evaluate_combination(comb, c)
+
+
+def random_regular_multigraph(rng, n, valence):
+    """A random loopless valence-regular multigraph on 1..n, by pairing
+    shuffled stubs until no pair is a loop."""
+    while True:
+        stubs = [v for v in range(1, n + 1) for _ in range(valence)]
+        rng.shuffle(stubs)
+        edges = [(stubs[k], stubs[k + 1]) for k in range(0, len(stubs), 2)]
+        if all(t != h for t, h in edges):
+            return Graph(n, edges)
+
+
+def test_resumed_crossing_search_matches_full_search_and_reference(monkeypatch):
+    first_crossing = straightening._first_crossing
+    searched = []
+
+    def spy(edges, start=0):
+        # no edge before the hint crosses any edge ...
+        assert not any(edges_cross(e, f) for e in edges[:start] for f in edges), (edges, start)
+        # ... so the search from it finds the lex-first pair
+        got = first_crossing(edges, start)
+        assert got == first_crossing(edges, 0), (edges, start)
+        searched.append(start)
+        return got
+
+    monkeypatch.setattr(straightening, "_first_crossing", spy)
+    rng = random.Random(99)
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        valence = rng.choice([v for v in (2, 3, 4) if n * v % 2 == 0 and (n <= 8 or v < 4)])
+        g = random_regular_multigraph(rng, n, valence)
+        while len(crossing_pairs(g)) > 24:  # the reference is slow beyond
+            g = random_regular_multigraph(rng, n, valence)
+        g, _ = canonicalize(g)
+        got = straightening._expand(n, {g.edges: 1})
+        want = reference_straighten_graph(g)
+        assert {Graph(n, es): Fraction(k) for es, k in got.items()} == want.terms, g
+    assert max(searched) > 0
