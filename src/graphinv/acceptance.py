@@ -236,21 +236,10 @@ def check_odd_power_identification(base_seed: int):
     b = reduce_to_noncrossing_vars(rel)
     if b.is_zero:
         failures.append("odd-power reduction vanished")
-    ratio = None
-    for key in set(a.terms) | set(b.terms):
-        x, y = a.terms.get(key, Fraction(0)), b.terms.get(key, Fraction(0))
-        if (x == 0) != (y == 0):
-            failures.append(f"supports differ at {key}")
-            break
-        if x:
-            r = y / x
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                failures.append("reductions are not proportional")
-                break
-    if ratio == 0:
-        failures.append("proportionality ratio is zero")
+    key = next(iter(a.terms), None)
+    ratio = b.terms.get(key, Fraction(0)) / a.terms[key] if key is not None else None
+    if ratio is None or b != ratio * a:
+        failures.append("reductions are not proportional")
     return not failures, "; ".join(failures) or f"odd-power(6,3) = {ratio} * segre_cubic(6) after reduction"
 
 

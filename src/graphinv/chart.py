@@ -34,10 +34,7 @@ def good_matching(n: int, i: int, j: int) -> list[tuple[int, int]]:
     """The deterministic good matching on the vertices left over once
     1, i, j, 2m are spoken for: k-th smallest leftover of the first block
     to k-th smallest leftover of the second."""
-    m = n // 2
-    left = [a for a in range(2, m + 1) if a != i]
-    right = [b for b in range(m + 1, 2 * m) if b != j]
-    return list(zip(left, right))
+    return alternative_good_matchings(n, i, j, 1)[0]
 
 
 def alternative_good_matchings(n: int, i: int, j: int, limit: int = 3) -> list[list[tuple[int, int]]]:

@@ -376,20 +376,24 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        text = None  # release what the closure holds (for plucker, every relation) before the layout
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "checks": checks,
-            "seed": args.seed,
-            "timing_ms": int((time.perf_counter() - t0) * 1000),
-        }
-        payload = _dumps(report) + "\n"
-    else:
-        lines = text()
-        payload = "\n".join(lines) + "\n" if lines else ""
+    try:
+        if args.format == "json":
+            text = None  # release what the closure holds (for plucker, every relation) before the layout
+            report = {
+                "command": args.command,
+                "inputs": inputs,
+                "outputs": outputs,
+                "checks": checks,
+                "seed": args.seed,
+                "timing_ms": int((time.perf_counter() - t0) * 1000),
+            }
+            payload = _dumps(report) + "\n"
+        else:
+            lines = text()
+            payload = "\n".join(lines) + "\n" if lines else ""
+    except RecursionError:
+        print(f"error: the {args.command} report is nested too deeply to write", file=sys.stderr)
+        return 2
     if args.out:
         try:
             with open(args.out, "w") as fh:

@@ -10,6 +10,10 @@ its edges {j,k} with w_j + w_k < total/2, the edge multiplicity times the
 degree after merging j and k into one vertex (edges whose weights sum to
 exactly half the total contribute nothing).  The result is independent of
 the multigraph chosen, which the test suite checks.
+
+The recursion tree is the computation: every call builds its node, and
+the degree is the root's.  A run of pair reductions is walked in a loop,
+so it takes no stack; only merges recurse, at most one level per point.
 """
 
 from __future__ import annotations
@@ -57,83 +61,71 @@ def _validate(w: tuple[int, ...]) -> None:
         raise DegenerateModuli(f"only {len(w)} weighted points remain")
 
 
-def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None, trace: dict | None) -> int:
-    if trace is not None:
-        trace["weights"] = list(w)
-    if memo is not None and w in memo:
-        if trace is not None:
-            trace["action"] = "memoized"
-            trace["degree"] = memo[w]
-        return memo[w]
-    _validate(w)
-    total = sum(w)
-    if len(w) == 3:
-        result = 1
-        if trace is not None:
-            trace["action"] = "point"
-    elif 2 * (w[0] + w[1]) > total:
+def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None) -> dict:
+    """The recursion tree of canonical w, whose "degree" is the degree of w.
+
+    A run of pair reductions is walked in a loop; once it ends, the nodes
+    of the run (and their memo entries) are filled in child first.  Merges
+    recurse, at most one level per point."""
+    chain = []
+    while memo is None or w not in memo:
+        _validate(w)
+        if len(w) == 3 or 2 * (w[0] + w[1]) <= sum(w):
+            break
         # the two largest weights can never coincide with anything else
-        reduced = _canon(x for x in (w[0] - 1, w[1] - 1) + w[2:] if x > 0)
-        child: dict | None = {} if trace is not None else None
-        result = _degree(reduced, builder, memo, child)
-        if trace is not None:
-            trace["action"] = "pair-reduction"
-            trace["pair"] = [w[0], w[1]]
-            trace["child"] = child
+        chain.append(w)
+        w = _canon(x for x in (w[0] - 1, w[1] - 1) + w[2:] if x > 0)
+    node: dict = {"weights": list(w)}
+    if memo is not None and w in memo:
+        node.update(action="memoized", degree=memo[w])
+    elif len(w) == 3:
+        node.update(action="point", degree=1)
     elif len(w) == 4 and len(set(w)) == 1:
-        result = w[0]
-        if trace is not None:
-            trace["action"] = "balanced-quadruple"
+        node.update(action="balanced-quadruple", degree=w[0])
     else:
+        total = sum(w)
         g = builder(w)
         if g.multidegree() != w:
             raise ValueError(f"graph builder returned multidegree {g.multidegree()}, wanted {w}")
         mult = Counter((min(t, h), max(t, h)) for t, h in g.edges)
         branches = []
-        result = 0
         for (j, k), m in sorted(mult.items()):
             s = w[j - 1] + w[k - 1]
             branch = {"pair": [j, k], "multiplicity": m, "weight_sum": s}
             if 2 * s < total:
                 merged = _canon(tuple(x for i, x in enumerate(w) if i not in (j - 1, k - 1)) + (s,))
-                child = {} if trace is not None else None
-                sub = _degree(merged, builder, memo, child)
-                result += m * sub
-                branch["contribution"] = m * sub
-                if trace is not None:
-                    branch["child"] = child
+                child = _degree(merged, builder, memo)
+                branch.update(contribution=m * child["degree"], child=child)
             else:
-                branch["contribution"] = 0
-                branch["note"] = "pair weight equals half the total; not a component"
+                branch.update(contribution=0, note="pair weight equals half the total; not a component")
             branches.append(branch)
-        if trace is not None:
-            trace["action"] = "multigraph"
-            trace["graph_edges"] = [[t, h] for t, h in g.edges]
-            trace["branches"] = branches
+        node.update(action="multigraph", graph_edges=[[t, h] for t, h in g.edges], branches=branches,
+                    degree=sum(b["contribution"] for b in branches))
     if memo is not None:
-        memo[w] = result
-    if trace is not None:
-        trace["degree"] = result
-    return result
+        memo[w] = node["degree"]
+    for v in reversed(chain):
+        node = {"weights": list(v), "action": "pair-reduction", "pair": [v[0], v[1]], "child": node,
+                "degree": node["degree"]}
+        if memo is not None:
+            memo[v] = node["degree"]
+    return node
 
 
-def moduli_degree(w, graph_builder: Callable | None = None, use_memo: bool = True) -> int:
+def moduli_degree(w, graph_builder: Callable = greedy_multigraph, use_memo: bool = True) -> int:
     """Degree of the moduli space of w-weighted points on the line, under
     its natural projective embedding.  graph_builder may replace the greedy
     multigraph choice (the result must not change); use_memo=False disables
     the per-call memo table for transparency checks."""
-    builder = graph_builder or greedy_multigraph
     memo = {} if use_memo else None
-    return _degree(_canon(WeightVector.of(w).w), builder, memo, None)
+    return _degree(_canon(WeightVector.of(w).w), graph_builder, memo)["degree"]
 
 
-def degree_trace(w, graph_builder: Callable | None = None) -> tuple[int, dict]:
-    """moduli_degree plus the recursion tree, for display.  Weight vectors
-    in the trace are sorted descending, as the recursion canonicalizes."""
-    builder = graph_builder or greedy_multigraph
-    trace: dict = {}
-    value = _degree(_canon(WeightVector.of(w).w), builder, {}, trace)
-    return value, trace
+def degree_trace(w) -> tuple[int, dict]:
+    """moduli_degree plus the recursion tree that computed it, for display.
+    Weight vectors in the tree are sorted descending, as the recursion
+    canonicalizes."""
+    node = _degree(_canon(WeightVector.of(w).w), greedy_multigraph, {})
+    return node["degree"], node
 
 
 def is_boundary(w) -> bool:

@@ -12,6 +12,8 @@ d-regular graph on sum(w) vertices.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -139,29 +141,26 @@ def hall_matching(g: Graph, b: Bipartition) -> Graph:
 def neutralize(g: Graph, b: Bipartition) -> GraphCombination:
     """Rewrite X_g on graphs whose edges all cross the bipartition.
 
-    Repeatedly exchanges the smallest positive edge with the smallest
-    negative edge; each exchange replaces the pair by two neutral edges, so
-    the positive-edge count strictly decreases.
+    X_g is the neutral edges times the product, over the pairs of a k-th
+    smallest positive and k-th smallest negative edge, of the pair's
+    two-term plucker_exchange.  That is what exchanging the smallest
+    positive edge with the smallest negative one until none is left gives:
+    an exchange touches only its own pair and turns it into two neutral
+    edges, so the other positive edges keep their order, the k-th smallest
+    always meets the k-th smallest negative one, and the exchanges commute.
     """
     if g.regular_valence() is None:
         raise NotRegular(f"graph with multidegree {g.multidegree()} is not regular")
     if g.n != b.n:
         raise NotRegular(f"graph on {g.n} vertices, bipartition of {b.n}")
     cg, sign = canonicalize(g)
-    work: list[tuple[Graph, Fraction]] = [(cg, Fraction(sign))]
-    done: list[tuple[Graph, Fraction]] = []
-    while work:
-        h, coeff = work.pop()
-        pos = [idx for idx, e in enumerate(h.edges) if b.edge_side(e) == 1]
-        neg = [idx for idx, e in enumerate(h.edges) if b.edge_side(e) == -1]
-        if not pos:
-            assert not neg, f"positive/negative edge counts differ in {h!r}"
-            done.append((h, coeff))
-            continue
-        repl = plucker_exchange(h, pos[0], neg[0])
-        for h2, c2 in repl.terms.items():
-            work.append((h2, coeff * c2))
-    return GraphCombination._of(g.n, done, g.multidegree())
+    pos, neg, neutral = ([e for e in cg.edges if b.edge_side(e) == s] for s in (1, -1, 0))
+    factors = [plucker_exchange(Graph(g.n, pair), 0, 1).terms.items() for pair in zip(pos, neg)]
+    terms = []
+    for choice in itertools.product(*factors):
+        edges = neutral + [e for h, _ in choice for e in h.edges]
+        terms.append((Graph(g.n, edges), sign * math.prod(c for _, c in choice)))
+    return GraphCombination(g.n, terms, g.multidegree())
 
 
 def kempe_decompose(g: Graph) -> list[MatchingProduct]:

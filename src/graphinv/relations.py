@@ -10,6 +10,7 @@ regular multidegrees, which decides whether a polynomial is a relation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -92,6 +93,13 @@ def evaluate_polynomial(p: GraphPolynomial, c: Configuration) -> Fraction:
     return total
 
 
+def _check_vertex_count(n: int, least: int) -> None:
+    if n % 2:
+        raise OddVertexCount(f"{n} vertices admit no perfect matchings")
+    if n < least:
+        raise VertexCountTooSmall(f"need at least {least} vertices")
+
+
 def _canonical_graph(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
     """The graph on valid edges, each oriented tail < head, once sorted;
     built without re-checking them."""
@@ -106,10 +114,7 @@ def _canonical_monomial(n: int, *factors: tuple[tuple[int, int], ...]) -> tuple[
 def plucker_linear_relations(n: int) -> list[GraphCombination]:
     """Three-term exchange relations among matchings: for each four vertices
     i<j<k<l and each matching of the rest, {ij,kl} - {ik,jl} + {il,jk}."""
-    if n % 2:
-        raise OddVertexCount(f"{n} vertices admit no perfect matchings")
-    if n < 4:
-        raise VertexCountTooSmall("need at least 4 vertices")
+    _check_vertex_count(n, 4)
     degree = (1,) * n
     out = []
     for quad in itertools.combinations(range(1, n + 1), 4):
@@ -135,10 +140,7 @@ def simple_binomial_relations(n: int) -> list[GraphPolynomial]:
     For n=8 the 4-subset and its complement play symmetric roles, so only
     subsets containing vertex 1 are used (35 of them); n=6 has none.
     """
-    if n % 2:
-        raise OddVertexCount(f"{n} vertices admit no perfect matchings")
-    if n < 6:
-        raise VertexCountTooSmall("need at least 6 vertices")
+    _check_vertex_count(n, 6)
     if n == 6:
         return []
     if n == 8:
@@ -184,30 +186,18 @@ def quadric_relation_space(n: int) -> list[tuple[Fraction, ...]]:
     """Kernel basis of the degree-2 monomial multiplication map, i.e. the
     quadric relations in non-crossing matching variables, as primitive
     integer coordinate vectors over noncrossing_monomials(n, 2)."""
-    if n % 2:
-        raise OddVertexCount(f"{n} vertices admit no perfect matchings")
-    if n < 4:
-        raise VertexCountTooSmall("need at least 4 vertices")
+    _check_vertex_count(n, 4)
     return kernel_basis(noncrossing_monomial_matrix(n, 2))
 
 
-_SEGRE6_CACHE: GraphPolynomial | None = None
-
-
+@functools.cache
 def _segre6() -> GraphPolynomial:
-    global _SEGRE6_CACHE
-    if _SEGRE6_CACHE is None:
-        monos = noncrossing_monomials(6, 3)
-        ker = kernel_basis(noncrossing_monomial_matrix(6, 3))
-        assert len(ker) == 1, "the cubic relation space for n=6 must be one-dimensional"
-        vec = ker[0]
-        poly = GraphPolynomial(
-            6, {monos[t]: vec[t] for t in range(len(monos)) if vec[t]}, degree=3
-        )
-        if next(iter(poly.terms.values())) < 0:
-            poly = (-1) * poly
-        _SEGRE6_CACHE = poly
-    return _SEGRE6_CACHE
+    monos = noncrossing_monomials(6, 3)
+    ker = kernel_basis(noncrossing_monomial_matrix(6, 3))
+    assert len(ker) == 1, "the cubic relation space for n=6 must be one-dimensional"
+    vec = ker[0]
+    poly = GraphPolynomial(6, {monos[t]: vec[t] for t in range(len(monos)) if vec[t]}, degree=3)
+    return (-1) * poly if next(iter(poly.terms.values())) < 0 else poly
 
 
 def segre_cubic(n: int) -> GraphPolynomial:
@@ -219,10 +209,7 @@ def segre_cubic(n: int) -> GraphPolynomial:
     factor is extended by the horizontal edges (7,8), (9,10), ..., which
     multiplies every evaluation by the same nonzero factor, so the result
     is again a relation."""
-    if n % 2:
-        raise OddVertexCount(f"{n} vertices admit no perfect matchings")
-    if n < 6:
-        raise VertexCountTooSmall("need at least 6 vertices")
+    _check_vertex_count(n, 6)
     base = _segre6()
     if n == 6:
         return base

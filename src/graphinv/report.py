@@ -41,9 +41,22 @@ def dumps(value, indent: str = "") -> str:
       every list has that shape.  Otherwise the column falls back to the
       generic walk: the items of its lists become the next column, so the
       result is exact for any value.
-    - Anything else is laid out on its own, other leaves by ``json.dumps``.
+    - Anything else is laid out on its own.  A value the column layout
+      cannot take (a dict with a key that is not a str, a leaf of another
+      type) is ``json.dumps(v, indent=2, sort_keys=True)`` re-indented,
+      which is exact because JSON text holds no raw newline; so is the
+      whole value when it is nested too deeply for the column layout.
+      Where ``json.dumps`` fails too, its exception propagates.
     """
-    return _column([value], indent)[0]
+    try:
+        return _column([value], indent)[0]
+    except RecursionError:
+        return _json(value, indent)
+
+
+def _json(value, indent: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at indent."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _column(values: list, indent: str) -> list[str]:
@@ -56,12 +69,18 @@ def _column(values: list, indent: str) -> list[str]:
         return _lists(values, indent)
     if all(isinstance(v, dict) for v in values):
         keys = values[0].keys()
-        if all(v.keys() == keys for v in values):
+        if all(v.keys() == keys for v in values) and all(isinstance(k, str) for k in keys):
             return _dicts(values, sorted(keys), indent)
-    return [
-        _column([v], indent)[0] if isinstance(v, (list, tuple, dict)) else _LEAF.get(type(v), json.dumps)(v)
-        for v in values
-    ]
+    return [_one(v, indent) for v in values]
+
+
+def _one(value, indent: str) -> str:
+    """The layout of a value that shares no column."""
+    if isinstance(value, (list, tuple)) or isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return _column([value], indent)[0]
+    if type(value) in _LEAF:
+        return _LEAF[type(value)](value)
+    return _json(value, indent)  # a leaf of another type, or a dict with a key that is not a str
 
 
 def _dicts(values: list, keys: list, indent: str) -> list[str]:

@@ -53,6 +53,25 @@ def test_degree_trace(capsys):
     assert any("multigraph" in s for s in lines)
 
 
+def test_degree_long_pair_reduction_run(capsys):
+    code, out, err = run(capsys, "degree", "--weights", "1000,1000,1,1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("weights", ["450,450,1,1", "2000,2000,1,1"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_degree_deep_trace_leaves_no_traceback(weights, fmt):
+    # The tree is as deep as the run of pair reductions: laid out, or an
+    # error line where even json.dumps cannot go that deep.
+    proc = run_child("-m", "graphinv", "degree", "--weights", weights, "--trace", "--format", fmt)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert proc.stdout.endswith("1\n") if fmt == "text" else json.loads(proc.stdout)["outputs"]["degree"] == 1
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
 def test_degree_odd_total_exits_2(capsys):
     code, out, err = run(capsys, "degree", "--weights", "1,1,1")
     assert code == 2 and out == ""

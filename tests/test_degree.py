@@ -1,4 +1,6 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -10,6 +12,8 @@ from graphinv.degree import (
 )
 from graphinv.errors import DegenerateModuli, EmptyModuli, OddTotalWeight
 from graphinv.graphs import Graph
+
+from degree_reference import reference_degree_trace, reference_moduli_degree
 
 GOLDEN = [
     ((1, 1, 1, 1, 1, 1), 3),
@@ -176,3 +180,70 @@ def test_trace_shows_zero_contribution_note():
 
     walk(trace)
     assert all("not a component" in s for s in notes)
+
+
+def reference_vectors(seed, count):
+    """count seeded weight vectors of lengths 3-9 with entries 1-6, valid or
+    not (about half have an odd total), then as many boundary and
+    empty-moduli ones."""
+    rng = random.Random(seed)
+    vectors = [tuple(rng.randint(1, 6) for _ in range(rng.randint(3, 9))) for _ in range(count)]
+    while len(vectors) < 2 * count:
+        rest = [rng.randint(1, 3) for _ in range(rng.randint(2, 5))]
+        if sum(rest) <= 4:
+            vectors.append(tuple(rest + [sum(rest)]))  # one weight is half the total
+            vectors.append(tuple(rest + [sum(rest) + 2]))  # one weight is more than half
+    return vectors
+
+
+def outcome(f, w):
+    """f(w), or the type of the exception it raised."""
+    try:
+        return f(w)
+    except Exception as exc:  # noqa: BLE001 - the type is the answer compared
+        return type(exc)
+
+
+def test_reference_vectors_cover_every_case():
+    vectors = reference_vectors(17, 120)
+    assert any(is_boundary(w) for w in vectors if sum(w) % 2 == 0)
+    outcomes = {outcome(moduli_degree, w) for w in vectors}
+    assert {OddTotalWeight, EmptyModuli} <= outcomes
+    assert any(isinstance(x, int) for x in outcomes)
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_degree_matches_reference(seed):
+    for w in reference_vectors(seed, 120):
+        assert outcome(moduli_degree, w) == outcome(reference_moduli_degree, w), w
+        assert outcome(degree_trace, w) == outcome(reference_degree_trace, w), w
+
+
+def test_degree_matches_reference_without_memo_and_with_other_builders():
+    # no memo is exponential in the length, so the short vectors only
+    for w in [v for v in reference_vectors(19, 200) if len(v) <= 6]:
+        for builder in (greedy_multigraph, random_builder(1)):
+            for use_memo in (True, False):
+                got = outcome(lambda v: moduli_degree(v, graph_builder=builder, use_memo=use_memo), w)
+                want = outcome(lambda v: reference_moduli_degree(v, graph_builder=builder, use_memo=use_memo), w)
+                assert got == want, (w, use_memo)
+
+
+@contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_long_pair_reduction_runs_take_no_stack():
+    w = (1200, 1198, 3, 2, 2, 1)
+    assert moduli_degree(w) == 17
+    value, tree = degree_trace(w)
+    assert value == 17
+    with recursion_limit(10_000):
+        assert reference_degree_trace(w) == (value, tree)
+        assert reference_moduli_degree(w) == 17

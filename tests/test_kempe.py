@@ -16,6 +16,8 @@ from graphinv.kempe import (
     neutralize,
 )
 
+from kempe_reference import reference_neutralize
+
 
 def configs_for(n):
     vals = [list(range(n)), [x * x - 3 for x in range(n)], [5, -2, 9, 1, -6, 3, 14, -11, 7, 0][:n]]
@@ -149,6 +151,19 @@ def test_neutralize_output_is_neutral():
             assert all(b.edge_side(e) == 0 for e in h.edges)
         for c in configs_for(n):
             assert evaluate_combination(out, c) == evaluate(g, c)
+
+
+def test_neutralize_matches_reference():
+    # any bipartition, not only halves; term for term, order included
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.choice([4, 6, 8, 10, 12])
+        g = random_regular(rng, n, rng.randint(1, 4 if n < 12 else 3))
+        vertices = rng.sample(range(1, n + 1), n)
+        b = rng.choice([Bipartition.halves(n), Bipartition(vertices[: n // 2], vertices[n // 2:])])
+        got, want = neutralize(g, b), reference_neutralize(g, b)
+        assert list(got.terms.items()) == list(want.terms.items()), (g, b)
+        assert (got.n, got.degree) == (want.n, want.degree)
 
 
 def test_neutralize_rejects_irregular():

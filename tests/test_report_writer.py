@@ -85,6 +85,30 @@ def test_writer_on_edge_lists_and_leaf_lists():
     assert cli._dumps(value) == reference(value)
 
 
+@pytest.mark.parametrize("value", [
+    {1: 2},
+    {True: [1, 2], False: None},
+    {None: {"a": 1}},
+    {"outer": {1: {"inner": [[1, 2]]}, 2: []}, "rows": [{3: "x"}, {3: "y"}], "mixed": [{4: 1}, {"a": 1}]},
+])
+def test_writer_on_keys_that_are_not_str(value):
+    assert cli._dumps(value) == reference(value)
+
+
+def nested(depth):
+    value = {"leaf": [1, 2]}
+    for k in range(depth):
+        value = {"child": value, "depth": k}
+    return value
+
+
+def test_writer_on_values_deeper_than_the_column_layout():
+    value = nested(600)
+    assert cli._dumps(value) == reference(value)
+    with pytest.raises(RecursionError):
+        cli._dumps(nested(2000))
+
+
 @pytest.fixture
 def batches(monkeypatch):
     """Record whether each batch of lists took the batch path (True) or
