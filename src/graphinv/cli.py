@@ -190,6 +190,11 @@ def _cmd_check_ideal(args):
 
 
 def _render_trace(node: dict, indent: int, lines: list[str]) -> None:
+    # a run of pair reductions is walked in a loop; only merges recurse
+    while node["action"] == "pair-reduction":
+        a, b = node["pair"]
+        lines.append(f"{'  ' * indent}{tuple(node['weights'])} drop 1 from the pair ({a},{b}) = {node['degree']}")
+        node, indent = node["child"], indent + 1
     pad = "  " * indent
     w = tuple(node["weights"])
     action = node["action"]
@@ -205,10 +210,6 @@ def _render_trace(node: dict, indent: int, lines: list[str]) -> None:
             )
             if "child" in br:
                 _render_trace(br["child"], indent + 2, lines)
-    elif action == "pair-reduction":
-        a, b = node["pair"]
-        lines.append(f"{pad}{w} drop 1 from the pair ({a},{b}) = {node['degree']}")
-        _render_trace(node["child"], indent + 1, lines)
     elif action == "point":
         lines.append(f"{pad}{w} is a single point = 1")
     elif action == "balanced-quadruple":

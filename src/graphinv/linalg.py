@@ -5,7 +5,10 @@ is integral).  Elimination is fraction-free over int: each column is
 scaled to integers by the lcm of its denominators, and a sparse
 column-echelon optionally tracks how each reduced row was formed from the
 original columns, so span membership can hand back certificate
-coefficients.  Fractions appear only in results.  No floating point
+coefficients.  Rows are renumbered lightest first before elimination, so
+the sparsest rows become pivots and fill-in stays low (structured
+Gaussian elimination); results are indexed by column and do not depend on
+the row order.  Fractions appear only in results.  No floating point
 anywhere.
 """
 
@@ -122,15 +125,29 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _scaled(col: Mapping[int, int | Fraction]) -> tuple[dict[int, int], int]:
-    """(s * col as ints, s) for s the lcm of the denominators of col."""
+def _light_first(m: RationalMatrix) -> list[int]:
+    """new[i], the index of row i once the rows are sorted by how many
+    columns hold them, ascending, ties in index order."""
+    count = [0] * m.rows
+    for col in m._columns:
+        for i in col:
+            count[i] += 1
+    new = [0] * m.rows
+    for pos, i in enumerate(sorted(range(m.rows), key=count.__getitem__)):
+        new[i] = pos
+    return new
+
+
+def _scaled(col: Mapping[int, int | Fraction], new: Sequence[int]) -> tuple[dict[int, int], int]:
+    """(s * col as ints, rows renumbered by new, and s) for s the lcm of
+    the denominators of col."""
     s = 1
     for v in col.values():
         if type(v) is not int:
             s = math.lcm(s, v.denominator)
     if s == 1:
-        return dict(col), 1
-    return {i: (v * s).numerator for i, v in col.items()}, s
+        return {new[i]: v for i, v in col.items()}, 1
+    return {new[i]: (v * s).numerator for i, v in col.items()}, s
 
 
 def _subtract(acc: dict[int, int], a: int, row: dict[int, int], skip: int | None = None) -> list[int]:
@@ -222,8 +239,9 @@ class _Echelon:
 
 def rank(m: RationalMatrix) -> int:
     """Exact rank (column insertion count)."""
+    new = _light_first(m)
     ech = _Echelon()
-    return sum(ech.insert(_scaled(col)[0], None) is not None for col in m._columns)
+    return sum(ech.insert(_scaled(col, new)[0], None) is not None for col in m._columns)
 
 
 def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
@@ -242,11 +260,12 @@ def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Primitive-integer basis of the right kernel, one vector per
     dependent column, in column order; length = cols - rank."""
+    new = _light_first(m)
     ech = _Echelon()
     scales = []
     out = []
     for j, col in enumerate(m._columns):
-        vec, s = _scaled(col)
+        vec, s = _scaled(col, new)
         scales.append(s)
         expr = {j: 1}
         if ech.insert(vec, expr) is None:
@@ -261,13 +280,14 @@ def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Frac
     unique solution supported on the greedy independent columns, and it is
     re-verified exactly before returning."""
     target = _column(v, m.rows)
+    new = _light_first(m)
     ech = _Echelon()
     scales = []
     for j, col in enumerate(m._columns):
-        vec, s = _scaled(col)
+        vec, s = _scaled(col, new)
         scales.append(s)
         ech.insert(vec, {j: 1})
-    qvec, qs = _scaled(target)
+    qvec, qs = _scaled(target, new)
     qexpr: dict[int, int] = {}
     p, mult = ech.reduce(qvec, qexpr)
     if p is not None:

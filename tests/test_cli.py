@@ -465,3 +465,16 @@ def test_zero_term_on_the_wrong_vertex_count_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "check-ideal", "--candidate", "-", "--n", "8", "--degree", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: VertexCountMismatch:") and "Traceback" not in err
+
+
+def test_degree_text_trace_of_a_long_pair_reduction_run():
+    # The run of 999 pair reductions is rendered in a loop, one level of
+    # indent per reduction, down to the balanced quadruple.
+    proc = run_child("-m", "graphinv", "degree", "--weights", "1000,1000,1,1", "--trace", "--format", "text")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1001
+    for i, line in enumerate(lines[:999]):
+        w = 1000 - i
+        assert line == f"{'  ' * i}({w}, {w}, 1, 1) drop 1 from the pair ({w},{w}) = 1"
+    assert lines[999:] == ["  " * 999 + "(1, 1, 1, 1) balanced quadruple = 1", "1"]
