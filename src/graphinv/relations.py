@@ -39,7 +39,7 @@ from .graphs import (
     noncrossing_matchings,
 )
 from .linalg import RationalMatrix, in_span, kernel_basis
-from .straightening import GraphCombination, straighten, straighten_graph
+from .straightening import GraphCombination, _expand, _normal_form, straighten, straighten_graph
 
 
 def _factor_key(g: Graph):
@@ -171,15 +171,22 @@ def noncrossing_monomials(n: int, k: int) -> list[tuple[Graph, ...]]:
 def noncrossing_monomial_matrix(n: int, k: int) -> RationalMatrix:
     """Matrix of the multiplication map: column t is the normal form of the
     t-th degree-k monomial's product graph, in the non-crossing
-    multidegree-(k,...,k) basis."""
+    multidegree-(k,...,k) basis.
+
+    Built on sorted edge tuples with int coefficients: each distinct
+    product is expanded once by the straightening kernel, outside its memo,
+    and goes straight to its basis rows."""
     monos = noncrossing_monomials(n, k)
-    basis = enumerate_noncrossing(n, (k,) * n)
-    index = {g: i for i, g in enumerate(basis)}
+    index = {g.edges: i for i, g in enumerate(enumerate_noncrossing(n, (k,) * n))}
+    expanded: dict[tuple, dict[int, int]] = {}
     columns = []
     for mono in monos:
-        prod = Graph(n, [e for f in mono for e in f.edges])
-        columns.append({index[g]: c for g, c in straighten_graph(prod).terms.items()})
-    return RationalMatrix.from_columns(columns, height=len(basis))
+        prod = tuple(sorted([e for f in mono for e in f.edges]))
+        col = expanded.get(prod)
+        if col is None:
+            col = expanded[prod] = {index[es]: c for es, c in _expand(n, {prod: 1}).items()}
+        columns.append(col)
+    return RationalMatrix.from_columns(columns, height=len(index))
 
 
 def quadric_relation_space(n: int) -> list[tuple[Fraction, ...]]:
@@ -272,19 +279,27 @@ def expand_variable(m: Graph) -> GraphCombination:
     return straighten_graph(m)
 
 
+def _reduced_terms(p: GraphPolynomial) -> dict[tuple, Fraction]:
+    """The terms of reduce_to_noncrossing_vars(p) as {sorted tuple of
+    factor edge tuples: nonzero coefficient}, in no particular order."""
+    acc: dict[tuple, Fraction] = {}
+    for mono, coeff in p.terms.items():
+        for combo in itertools.product(*(_normal_form(f).items() for f in mono)):
+            c = coeff
+            for _, k in combo:
+                c *= k
+            key = tuple(sorted([es for es, _ in combo]))
+            acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
 def reduce_to_noncrossing_vars(p: GraphPolynomial) -> GraphPolynomial:
     """Substitute the non-crossing expansion for every matching variable and
     expand; the image of p in the polynomial ring on non-crossing matching
     variables (the quotient by sign and exchange linear relations)."""
-    pairs = []
-    for mono, coeff in p.terms.items():
-        expansions = [list(expand_variable(f).terms.items()) for f in mono]
-        for combo in itertools.product(*expansions):
-            c = coeff
-            for _, c2 in combo:
-                c = c * c2
-            pairs.append((tuple(sorted((g for g, _ in combo), key=_factor_key)), c))
-    return GraphPolynomial._of(p.n, pairs, p.degree)
+    n = p.n
+    pairs = ((tuple(Graph._canonical(n, es) for es in mono), c) for mono, c in _reduced_terms(p).items())
+    return GraphPolynomial._of(n, pairs, p.degree)
 
 
 def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
@@ -295,10 +310,6 @@ def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
     prods = [(Graph(p.n, [e for f in mono for e in f.edges]), coeff) for mono, coeff in p.terms.items()]
     deg = (p.degree,) * p.n if p.degree is not None else None
     return straighten(GraphCombination(p.n, prods, degree=deg))
-
-
-def _attach_monomial(mono: tuple[Graph, ...], cof: tuple[Graph, ...]) -> tuple[Graph, ...]:
-    return tuple(sorted(mono + cof, key=_factor_key))
 
 
 def ideal_membership(
@@ -320,39 +331,44 @@ def ideal_membership(
     if candidate.degree is not None and candidate.degree != k:
         raise DegreeMismatch(f"candidate has degree {candidate.degree}, expected {k}")
     n = candidate.n
-    monos_k = noncrossing_monomials(n, k)
-    index = {m: t for t, m in enumerate(monos_k)}
+    # monomials as sorted tuples of factor edge tuples; Graphs only in the certificate
+    graph_of = {g.edges: g for g in noncrossing_matchings(n)}
+    index = {m: t for t, m in enumerate(itertools.combinations_with_replacement(graph_of, k))}
 
-    reduced = [reduce_to_noncrossing_vars(g) for g in generators]
-    cofactors: dict[int, list[tuple[Graph, ...]]] = {}
+    reduced = [_reduced_terms(g) for g in generators]
+    cofactors: dict[int, list[tuple]] = {}
     columns: list[dict[int, Fraction]] = []
-    provenance: list[tuple[int, tuple[Graph, ...]]] = []
+    provenance: list[tuple[int, tuple]] = []
     for gi, red in enumerate(reduced):
-        if red.is_zero:
+        if not red:
             continue
-        if red.degree > k:
-            raise DegreeMismatch(f"generator {gi} has degree {red.degree} > {k}")
-        d = k - red.degree
+        if generators[gi].degree > k:
+            raise DegreeMismatch(f"generator {gi} has degree {generators[gi].degree} > {k}")
+        d = k - generators[gi].degree
         if d not in cofactors:
-            cofactors[d] = noncrossing_monomials(n, d)
+            cofactors[d] = list(itertools.combinations_with_replacement(graph_of, d))
         for cof in cofactors[d]:
             # one cofactor maps distinct monomials to distinct ones: no collisions
-            columns.append({index[_attach_monomial(mono, cof)]: c for mono, c in red.terms.items()})
+            columns.append({index[tuple(sorted(mono + cof))]: c for mono, c in red.items()})
             provenance.append((gi, cof))
 
-    red_cand = reduce_to_noncrossing_vars(candidate)
-    target = {index[mono]: c for mono, c in red_cand.terms.items()}
+    red_cand = _reduced_terms(candidate)
+    target = {index[mono]: c for mono, c in red_cand.items()}
     if not columns:
         return (True, []) if not target else (False, None)
-    x = in_span(target, RationalMatrix.from_columns(columns, height=len(monos_k)))
+    x = in_span(target, RationalMatrix.from_columns(columns, height=len(index)))
     if x is None:
         return (False, None)
-    cert = [(provenance[t][0], provenance[t][1], x[t]) for t in range(len(x)) if x[t]]
+    used = [(*provenance[t], x[t]) for t in range(len(x)) if x[t]]
 
-    check = ((_attach_monomial(m, cof), coeff * c) for gi, cof, coeff in cert for m, c in reduced[gi].terms.items())
-    if GraphPolynomial._of(n, check, k) != red_cand:
+    check: dict[tuple, Fraction] = {}
+    for gi, cof, coeff in used:
+        for mono, c in reduced[gi].items():
+            key = tuple(sorted(mono + cof))
+            check[key] = check.get(key, 0) + coeff * c
+    if {key: c for key, c in check.items() if c} != red_cand:
         raise AssertionError("membership certificate failed re-verification")
-    return (True, cert)
+    return (True, [(gi, tuple(graph_of[f] for f in cof), coeff) for gi, cof, coeff in used])
 
 
 def polynomial_to_json(p: GraphPolynomial) -> dict:

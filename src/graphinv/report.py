@@ -44,14 +44,49 @@ def dumps(value, indent: str = "") -> str:
     - Anything else is laid out on its own.  A value the column layout
       cannot take (a dict with a key that is not a str, a leaf of another
       type) is ``json.dumps(v, indent=2, sort_keys=True)`` re-indented,
-      which is exact because JSON text holds no raw newline; so is the
-      whole value when it is nested too deeply for the column layout.
-      Where ``json.dumps`` fails too, its exception propagates.
+      which is exact because JSON text holds no raw newline.
+
+    A value nested too deeply for the column layout is laid out node by
+    node from an explicit stack instead, so its depth is not bounded by
+    the recursion limit (the trace of a long run of pair reductions is a
+    chain of dicts a thousand deep).  Where a value the column layout
+    cannot take is itself too deep for ``json.dumps``, that exception
+    propagates.
     """
     try:
         return _column([value], indent)[0]
     except RecursionError:
-        return _json(value, indent)
+        return _walk(value, indent)
+
+
+def _walk(value, indent: str) -> str:
+    """The layout of value at indent, one node at a time from a stack of
+    (value, indent) and (text, None) entries."""
+    out = []
+    todo = [(value, indent)]
+    while todo:
+        v, ind = todo.pop()
+        if ind is None:
+            out.append(v)
+        elif type(v) in _LEAF:
+            out.append(_LEAF[type(v)](v))
+        elif not (isinstance(v, (list, tuple)) or isinstance(v, dict) and all(isinstance(k, str) for k in v)):
+            out.append(_json(v, ind))
+        elif not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+        else:
+            inner = ind + "  "
+            if isinstance(v, dict):
+                keys = sorted(v)
+                opener, closer, heads, items = "{", "}", [_escape(k) + ": " for k in keys], [v[k] for k in keys]
+            else:
+                opener, closer, heads, items = "[", "]", [""] * len(v), v
+            # pushed last to first
+            todo.append(("\n" + ind + closer, None))
+            for i in range(len(items) - 1, 0, -1):
+                todo += (items[i], inner), (",\n" + inner + heads[i], None)
+            todo += (items[0], inner), (opener + "\n" + inner + heads[0], None)
+    return "".join(out)
 
 
 def _json(value, indent: str) -> str:

@@ -58,6 +58,38 @@ def test_degree_long_pair_reduction_run(capsys):
     assert (code, out, err) == (0, "1\n", "")
 
 
+def loads_deep(text):
+    """json.loads under a recursion limit raised for a report nested a few
+    thousand levels deep."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        return json.loads(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+DEEP_JSON_TRACE = """
+import contextlib, io, json, sys
+from graphinv.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["degree", "--weights", "1000,1000,1,1", "--trace", "--format", "json"])
+text = out.getvalue()
+sys.setrecursionlimit(20_000)
+report = json.loads(text)
+print(code, text == json.dumps(report, indent=2, sort_keys=True) + "\\n", report["outputs"]["degree"])
+"""
+
+
+def test_degree_json_trace_of_a_long_pair_reduction_run():
+    # The trace is a chain of dicts a thousand deep; the report matches
+    # json.dumps, which needs a raised recursion limit here.
+    proc = run_child("-c", DEEP_JSON_TRACE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 True 1\n"
+
+
 @pytest.mark.parametrize("weights", ["450,450,1,1", "2000,2000,1,1"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_degree_deep_trace_leaves_no_traceback(weights, fmt):
@@ -67,7 +99,7 @@ def test_degree_deep_trace_leaves_no_traceback(weights, fmt):
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
     if proc.returncode == 0:
-        assert proc.stdout.endswith("1\n") if fmt == "text" else json.loads(proc.stdout)["outputs"]["degree"] == 1
+        assert proc.stdout.endswith("1\n") if fmt == "text" else loads_deep(proc.stdout)["outputs"]["degree"] == 1
     else:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
 

@@ -1,0 +1,136 @@
+"""Monomial matrix, reduction to non-crossing variables and ideal
+membership assembled on sorted edge tuples with int coefficients, against
+the references that go through public objects (tests/relations_reference.py);
+and what that assembly makes cheap: the degree-3 multiplication map at
+n=10, and matrix assembly that leaves the straightening memo alone."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import relations_reference as ref
+from graphinv import straightening
+from graphinv.errors import DegreeMismatch
+from graphinv.graphs import Graph, enumerate_matchings, enumerate_noncrossing
+from graphinv.linalg import rank
+from graphinv.relations import (
+    GraphPolynomial,
+    ideal_membership,
+    noncrossing_monomial_matrix,
+    polynomial_from_json,
+    polynomial_to_json,
+    quadric_relation_space,
+    reduce_to_noncrossing_vars,
+    segre_cubic,
+    simple_binomial_relations,
+)
+
+
+@pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), (10, 2)])
+def test_monomial_matrix_matches_reference(n, k):
+    fast = noncrossing_monomial_matrix(n, k)
+    slow = ref.noncrossing_monomial_matrix_reference(n, k)
+    assert (fast.rows, fast.cols) == (slow.rows, slow.cols)
+    assert fast._columns == slow._columns
+    assert all(type(v) is int for col in fast._columns for v in col.values())
+
+
+def random_polynomial(rng, n, degree):
+    """A few terms over every perfect matching, crossing ones included,
+    some factors reversed, with Fraction coefficients."""
+    matchings = enumerate_matchings(n)
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        mono = []
+        for _ in range(degree):
+            edges = list(rng.choice(matchings).edges)
+            mono.append(Graph(n, [(h, t) if rng.random() < 0.3 else (t, h) for t, h in edges]))
+        terms.append((tuple(mono), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    return GraphPolynomial(n, terms, degree=degree)
+
+
+def test_reduction_matches_reference_on_seeded_polynomials():
+    rng = random.Random(1501)
+    for _ in range(120):
+        n = rng.choice((4, 6, 8))
+        p = random_polynomial(rng, n, rng.randint(1, 3))
+        fast, slow = reduce_to_noncrossing_vars(p), ref.reduce_to_noncrossing_vars_reference(p)
+        assert fast == slow
+        assert list(fast.terms.items()) == list(slow.terms.items())
+        assert fast.degree == slow.degree
+        assert all(type(c) is Fraction for c in fast.terms.values())
+
+
+def random_member(rng, generators, matchings, size=4):
+    """Sum of size terms coeff * cofactor * generator, cofactors drawn from
+    every perfect matching: the benchmark's membership recipe."""
+    while True:
+        recipe = [
+            (rng.randrange(len(generators)), rng.randrange(len(matchings)), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(size)
+        ]
+        terms = {}
+        for gi, mi, coeff in recipe:
+            for mono, c in generators[gi].terms.items():
+                key = (matchings[mi],) + mono
+                terms[key] = terms.get(key, 0) + coeff * c
+        poly = GraphPolynomial(matchings[0].n, terms, degree=3)
+        if not poly.is_zero:
+            return poly
+
+
+def assert_membership_matches(candidate, generators, k):
+    fast = ideal_membership(candidate, generators, k)
+    assert repr(fast) == repr(ref.ideal_membership_reference(candidate, generators, k))
+    return fast
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_membership_of_segre_matches_reference(n):
+    member, cert = assert_membership_matches(segre_cubic(n), simple_binomial_relations(n), 3)
+    assert member == (n == 8)
+
+
+def test_membership_of_seeded_candidates_matches_reference():
+    rng = random.Random(1502)
+    generators = simple_binomial_relations(8)
+    matchings = enumerate_matchings(8)
+    for _ in range(6):
+        poly = random_member(rng, generators, matchings)
+        member, cert = assert_membership_matches(poly, generators, 3)
+        assert member and cert
+        extra = tuple(matchings[rng.randrange(len(matchings))] for _ in range(3))
+        poly = poly + GraphPolynomial(8, {extra: rng.choice((-2, -1, 1, 2))}, degree=3)
+        # through JSON, as the CLI reads it
+        poly = polynomial_from_json(polynomial_to_json(poly))
+        assert assert_membership_matches(poly, generators, 3) == (False, None)
+
+
+def test_membership_edge_cases_match_reference():
+    gens = simple_binomial_relations(8)
+    assert assert_membership_matches(GraphPolynomial.zero(8, 3), gens, 3) == (True, [])
+    assert assert_membership_matches(segre_cubic(6), [], 3) == (False, None)
+    # a generator that reduces to zero is skipped; one of degree 0 takes every monomial as cofactor
+    assert_membership_matches(segre_cubic(8), [GraphPolynomial.zero(8, 2)] + gens, 3)
+    unit = GraphPolynomial(6, {(): 1}, degree=0)
+    member, cert = assert_membership_matches(segre_cubic(6), [unit], 3)
+    assert member and len(cert) == 6
+    for k in (2, -1):
+        for fn in (ideal_membership, ref.ideal_membership_reference):
+            with pytest.raises(DegreeMismatch):
+                fn(GraphPolynomial.zero(6, 2), [segre_cubic(6)], k)
+
+
+def test_degree_3_multiplication_map_is_onto_at_10():
+    basis = len(enumerate_noncrossing(10, (3,) * 10))
+    assert basis == 4269
+    m = noncrossing_monomial_matrix(10, 3)
+    assert (m.rows, m.cols) == (basis, 13244)
+    assert rank(m) == basis
+
+
+def test_matrix_assembly_leaves_the_memo_alone():
+    before = len(straightening._MEMO)
+    assert len(quadric_relation_space(10)) == 300
+    assert len(straightening._MEMO) == before

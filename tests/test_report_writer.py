@@ -9,8 +9,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -105,8 +107,47 @@ def nested(depth):
 def test_writer_on_values_deeper_than_the_column_layout():
     value = nested(600)
     assert cli._dumps(value) == reference(value)
+    # a dict with a key that is not a str goes to json.dumps, which cannot go this deep
+    deep = {"leaf": 1}
+    for _ in range(2000):
+        deep = {1: deep}
     with pytest.raises(RecursionError):
-        cli._dumps(nested(2000))
+        cli._dumps(deep)
+
+
+DEEPER_THAN_JSON_DUMPS = """
+import json, sys
+from graphinv.report import dumps
+chain = {'leaf': [1, 2]}
+for k in range(2000):
+    chain = {'child': chain, 'depth': k, 'pair': [k, 1], 'z': {}}
+lists = [1]
+for _ in range(2000):
+    lists = [lists, (2,)]
+value = {'inputs': {'x': 1}, 'outputs': {'trace': chain, 'lists': lists}}
+text = dumps(value)
+sys.setrecursionlimit(30000)
+print(text == json.dumps(value, indent=2, sort_keys=True), len(text))
+"""
+
+
+def test_writer_on_values_deeper_than_json_dumps_goes():
+    # json.dumps goes this deep only under a raised recursion limit,
+    # which is set in a child process so that it stays there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", DEEPER_THAN_JSON_DUMPS], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    same, size = proc.stdout.split()
+    assert same == "True" and int(size) > 10 ** 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values(6), st.sampled_from(["", "  ", "      "]))
+def test_deep_layout_matches_json_dumps(value, indent):
+    # the layout dumps falls back on, taken on values of any depth
+    assert report._walk(value, indent) == report.dumps(value, indent)
+    assert report._walk(value, "") == reference(value)
 
 
 @pytest.fixture
