@@ -132,10 +132,15 @@ def test_membership_and_quadric_space_match_reference(monkeypatch):
     fast = ideal_membership(segre_cubic(8), gens, 3)
     space = quadric_relation_space(8)
 
-    def reference_in_span(v, m):
-        return ref.in_span([v.get(i, 0) for i in range(m.rows)], m)
+    class ReferenceSpan:
+        def __init__(self, m):
+            self.m = m
 
-    monkeypatch.setattr(relations, "in_span", reference_in_span)
+        def solve(self, v):
+            return ref.in_span([v.get(i, 0) for i in range(self.m.rows)], self.m)
+
+    monkeypatch.setattr(relations, "_SLICES", {})  # a cold memo, so the slice is built on the reference
+    monkeypatch.setattr(relations, "_Span", ReferenceSpan)
     monkeypatch.setattr(relations, "kernel_basis", ref.kernel_basis)
     slow = ideal_membership(segre_cubic(8), gens, 3)
     assert fast[0] and len(fast[1]) > 0
