@@ -35,7 +35,7 @@ def _exact(v) -> int | Fraction:
 
 
 def _sparse(items: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
-    return {i: x for i, v in items if (x := _exact(v))}
+    return {i: x for i, v in items if (x := v if type(v) is int else _exact(v))}
 
 
 def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | Fraction]:
@@ -43,7 +43,7 @@ def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | 
     rows in 0..height-1, as a sparse column."""
     if isinstance(c, Mapping):
         col = _sparse(c.items())
-        if any(not 0 <= i < height for i in col):
+        if col and (min(col) < 0 or max(col) >= height):
             raise DimensionMismatch(f"a row index outside 0..{height - 1}")
         return col
     c = tuple(c)
@@ -106,13 +106,21 @@ class RationalMatrix:
     def matvec(self, x: Sequence) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} against {self.cols} columns")
-        acc: dict[int, Fraction] = {}
+        used = []
+        den = 1
         for j, xj in enumerate(x):
-            if xj:
+            if type(xj) is not Fraction:
                 xj = Fraction(xj)
-                for i, v in self._columns[j].items():
-                    acc[i] = acc.get(i, _ZERO) + v * xj
-        return tuple(acc.get(i, _ZERO) for i in range(self.rows))
+            if xj:
+                used.append((j, xj))
+                den = math.lcm(den, xj.denominator)
+        # den * x is integral: accumulate on it, then divide each row once
+        acc: dict[int, int | Fraction] = {}
+        for j, xj in used:
+            a = xj.numerator * (den // xj.denominator)
+            for i, v in self._columns[j].items():
+                acc[i] = acc.get(i, 0) + v * a
+        return tuple(Fraction(acc[i], den) if i in acc else _ZERO for i in range(self.rows))
 
     def __eq__(self, other):
         return (
@@ -176,8 +184,7 @@ class _Echelon:
     with a positive pivot, and pivot = min key, so a vector reduces by
     walking its support in increasing order; each elimination only
     introduces larger indices.  Rows are written only by insert; reduce
-    changes just the vector it is given, so a finished echelon can be kept
-    and reused (see _Span).
+    changes just the vector (and provenance) it is given.
     """
 
     __slots__ = ("rows",)
@@ -193,8 +200,7 @@ class _Echelon:
         is m * vec_original plus a combination of stored rows.  expr, when
         given, is scaled and updated alongside with the rows' provenance,
         so vec - sum(expr[j] * column_j) stays m times its starting value
-        (see _Span.solve).  Only vec and expr change; the stored rows are
-        never written, so one echelon can reduce any number of vectors."""
+        (see in_span)."""
         heap = sorted(vec)
         mult = 1
         while heap:
@@ -277,46 +283,29 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     return out
 
 
-class _Span:
-    """The column span of m, factored once: the light-first row order, the
-    echelon of the scaled columns with each row's column provenance, and
-    the column scales.  solve leaves all of it as it is, so one _Span
-    answers any number of targets."""
-
-    __slots__ = ("m", "new", "ech", "scales")
-
-    def __init__(self, m: RationalMatrix):
-        self.m = m
-        self.new = _light_first(m)
-        self.ech = _Echelon()
-        self.scales = []
-        for j, col in enumerate(m._columns):
-            vec, s = _scaled(col, self.new)
-            self.scales.append(s)
-            self.ech.insert(vec, {j: 1})
-
-    def solve(self, v: Sequence | Mapping[int, object]) -> tuple[Fraction, ...] | None:
-        """in_span(v, self.m), on the stored echelon."""
-        m = self.m
-        target = _column(v, m.rows)
-        qvec, qs = _scaled(target, self.new)
-        qexpr: dict[int, int] = {}
-        p, mult = self.ech.reduce(qvec, qexpr)
-        if p is not None:
-            return None
-        # 0 = mult * qs * v + sum qexpr[c] * s_c * column_c
-        x = [_ZERO] * m.cols
-        for c, val in qexpr.items():
-            x[c] = Fraction(-val * self.scales[c], mult * qs)
-        x = tuple(x)
-        if m.matvec(x) != tuple(Fraction(target.get(i, 0)) for i in range(m.rows)):
-            raise AssertionError("span certificate failed re-verification")
-        return x
-
-
 def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Fraction, ...] | None:
     """Certificate x with m @ x = v, or None when v is outside the column
     span.  v is dense, or a {row: value} mapping.  The certificate is the
     unique solution supported on the greedy independent columns, and it is
     re-verified exactly before returning."""
-    return _Span(m).solve(v)
+    target = _column(v, m.rows)
+    new = _light_first(m)
+    ech = _Echelon()
+    scales = []
+    for j, col in enumerate(m._columns):
+        vec, s = _scaled(col, new)
+        scales.append(s)
+        ech.insert(vec, {j: 1})
+    qvec, qs = _scaled(target, new)
+    qexpr: dict[int, int] = {}
+    p, mult = ech.reduce(qvec, qexpr)
+    if p is not None:
+        return None
+    # 0 = mult * qs * v + sum qexpr[c] * s_c * column_c
+    x = [_ZERO] * m.cols
+    for c, val in qexpr.items():
+        x[c] = Fraction(-val * scales[c], mult * qs)
+    x = tuple(x)
+    if m.matvec(x) != tuple(target.get(i, _ZERO) for i in range(m.rows)):
+        raise AssertionError("span certificate failed re-verification")
+    return x

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadExponent,
@@ -38,7 +38,7 @@ from .graphs import (
     graph_to_json,
     noncrossing_matchings,
 )
-from .linalg import RationalMatrix, _Span, kernel_basis
+from .linalg import RationalMatrix, in_span, kernel_basis
 from .straightening import GraphCombination, _expand, _normal_form, straighten, straighten_graph
 
 
@@ -314,56 +314,6 @@ def ring_normal_form(p: GraphPolynomial) -> GraphCombination:
     return straighten(GraphCombination(p.n, prods, degree=deg))
 
 
-# Membership slices the memo may hold.  It is checked, and cleared when
-# full, only as a newly built slice is stored.
-_SLICE_CAP = 4
-
-
-class _Slice(NamedTuple):
-    """What ideal_membership needs of the degree-k slice of one generator
-    list, whatever the candidate: monomials as sorted tuples of factor edge
-    tuples (Graphs only in the certificate), the reduced generators, each
-    column's (generator index, cofactor), and the factored span of the
-    columns (None when there are none)."""
-
-    graph_of: dict[tuple, Graph]
-    index: dict[tuple, int]
-    reduced: list[dict[tuple, int | Fraction]]
-    provenance: list[tuple[int, tuple]]
-    span: _Span | None
-
-
-# (n, k, the generators' terms) -> their degree-k slice
-_SLICES: dict[tuple, _Slice] = {}
-
-
-def _membership_slice(n: int, generators: Sequence[GraphPolynomial], k: int) -> _Slice:
-    """The degree-k slice of the ideal of the generators, in the ring on
-    non-crossing matching variables: cofactor-monomial times
-    reduced-generator columns, factored once."""
-    graph_of = {g.edges: g for g in noncrossing_matchings(n)}
-    index = {m: t for t, m in enumerate(itertools.combinations_with_replacement(graph_of, k))}
-
-    reduced = [_reduced_terms(g) for g in generators]
-    cofactors: dict[int, list[tuple]] = {}
-    columns: list[dict[int, int | Fraction]] = []
-    provenance: list[tuple[int, tuple]] = []
-    for gi, red in enumerate(reduced):
-        if not red:
-            continue
-        if generators[gi].degree > k:
-            raise DegreeMismatch(f"generator {gi} has degree {generators[gi].degree} > {k}")
-        d = k - generators[gi].degree
-        if d not in cofactors:
-            cofactors[d] = list(itertools.combinations_with_replacement(graph_of, d))
-        for cof in cofactors[d]:
-            # one cofactor maps distinct monomials to distinct ones: no collisions
-            columns.append({index[tuple(sorted(mono + cof))]: c for mono, c in red.items()})
-            provenance.append((gi, cof))
-    span = _Span(RationalMatrix.from_columns(columns, height=len(index))) if columns else None
-    return _Slice(graph_of, index, reduced, provenance, span)
-
-
 def ideal_membership(
     candidate: GraphPolynomial,
     generators: Sequence[GraphPolynomial],
@@ -377,11 +327,7 @@ def ideal_membership(
     certificate); the certificate lists (generator index, cofactor monomial,
     coefficient) triples with
         candidate = sum coeff * cofactor * generator
-    as reduced polynomials, re-verified exactly before returning.
-
-    The slice is factored once per (n, k, generator list) and kept in a
-    small memo, so later candidates against the same generators pay only
-    for their own reduction, solve and re-verification."""
+    as reduced polynomials, re-verified exactly before returning."""
     if k < 0:
         raise DegreeMismatch(f"the degree of a slice must be nonnegative, got {k}")
     if candidate.degree is not None and candidate.degree != k:
@@ -390,31 +336,59 @@ def ideal_membership(
     for gi, g in enumerate(generators):
         if g.n != n:
             raise VertexCountMismatch(f"generator {gi} is on {g.n} vertices, the candidate on {n}")
-    slice_key = (n, k, tuple(tuple(g.terms.items()) for g in generators))
-    sl = _SLICES.get(slice_key)
-    if sl is None:
-        sl = _membership_slice(n, generators, k)
-        if len(_SLICES) >= _SLICE_CAP:
-            _SLICES.clear()
-        _SLICES[slice_key] = sl
+    # monomials as sorted tuples of factor edge tuples; Graphs only in the certificate
+    graph_of = {g.edges: g for g in noncrossing_matchings(n)}
+    index = {m: t for t, m in enumerate(itertools.combinations_with_replacement(graph_of, k))}
+
+    reduced = [_reduced_terms(g) for g in generators]
+    cofactors: dict[int, list[tuple]] = {}
+    # cofactor -> {monomial: index of monomial * cofactor}, filled as met:
+    # the reduced generators share few monomials, so each product is
+    # sorted and looked up once rather than once per generator
+    row_of: dict[tuple, dict[tuple, int]] = {}
+    columns: list[dict[int, int | Fraction]] = []
+    provenance: list[tuple[int, tuple]] = []
+    for gi, red in enumerate(reduced):
+        if not red:
+            continue
+        if generators[gi].degree > k:
+            raise DegreeMismatch(f"generator {gi} has degree {generators[gi].degree} > {k}")
+        d = k - generators[gi].degree
+        if d not in cofactors:
+            cofactors[d] = list(itertools.combinations_with_replacement(graph_of, d))
+        for cof in cofactors[d]:
+            at = row_of.setdefault(cof, {})
+            # one cofactor maps distinct monomials to distinct ones: no collisions
+            col = {}
+            for mono, c in red.items():
+                row = at.get(mono)
+                if row is None:
+                    row = at[mono] = index[tuple(sorted(mono + cof))]
+                col[row] = c
+            columns.append(col)
+            provenance.append((gi, cof))
 
     red_cand = _reduced_terms(candidate)
-    target = {sl.index[mono]: c for mono, c in red_cand.items()}
-    if sl.span is None:
+    target = {index[mono]: c for mono, c in red_cand.items()}
+    if not columns:
         return (True, []) if not target else (False, None)
-    x = sl.span.solve(target)
+    x = in_span(target, RationalMatrix.from_columns(columns, height=len(index)))
     if x is None:
         return (False, None)
-    used = [(*sl.provenance[t], x[t]) for t in range(len(x)) if x[t]]
+    used = [(*provenance[t], x[t]) for t in range(len(x)) if x[t]]
 
-    check: dict[tuple, Fraction] = {}
+    # den * candidate = sum (den * coeff) * cofactor * generator, with every
+    # den * coeff an int
+    den = math.lcm(*(coeff.denominator for _, _, coeff in used))
+    check: dict[tuple, int | Fraction] = {}
     for gi, cof, coeff in used:
-        for mono, c in sl.reduced[gi].items():
+        a = coeff.numerator * (den // coeff.denominator)
+        for mono, c in reduced[gi].items():
             key = tuple(sorted(mono + cof))
-            check[key] = check.get(key, 0) + coeff * c
-    if {key: c for key, c in check.items() if c} != red_cand:
+            check[key] = check.get(key, 0) + a * c
+    if {key: c for key, c in check.items() if c} != {key: den * c for key, c in red_cand.items()}:
         raise AssertionError("membership certificate failed re-verification")
-    return (True, [(gi, tuple(sl.graph_of[f] for f in cof), coeff) for gi, cof, coeff in used])
+    return (True, [(gi, tuple(graph_of[f] for f in cof), coeff) for gi, cof, coeff in used])
 
 
 def polynomial_to_json(p: GraphPolynomial) -> dict:

@@ -81,22 +81,30 @@ def stored_nonzeros(ech):
 def test_membership_fill_in_is_pinned(monkeypatch):
     """The segre n=8 membership matrix stores 2,766 nonzeros when its rows
     are eliminated lightest first, against 4,619 in natural order."""
-    built = []
+    seen = []
 
-    class Recording(linalg._Span):
-        __slots__ = ()
+    def spy(v, m):
+        seen.append((v, m))
+        return in_span(v, m)
 
-        def __init__(self, m):
-            super().__init__(m)
-            built.append(self)
-
-    monkeypatch.setattr(relations, "_SLICES", {})  # a cold memo, so the slice is built here
-    monkeypatch.setattr(relations, "_Span", Recording)
+    monkeypatch.setattr(relations, "in_span", spy)
     member, cert = ideal_membership(segre_cubic(8), simple_binomial_relations(8), 3)
     assert member and len(cert) == 84
-    (span,) = built
-    m, ech = span.m, span.ech
+    ((target, m),) = seen
     assert (m.rows, m.cols) == (560, 490)
+
+    echelons = []
+
+    class Recording(linalg._Echelon):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(linalg, "_Echelon", Recording)
+    in_span(target, m)
+    (ech,) = echelons
     light = stored_nonzeros(ech)
     assert len(ech.rows) == 196
 

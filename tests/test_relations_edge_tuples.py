@@ -11,7 +11,7 @@ import pytest
 
 import relations_reference as ref
 from graphinv import straightening
-from graphinv.errors import DegreeMismatch
+from graphinv.errors import DegreeMismatch, VertexCountMismatch
 from graphinv.graphs import Graph, enumerate_matchings, enumerate_noncrossing
 from graphinv.linalg import rank
 from graphinv.relations import (
@@ -120,6 +120,30 @@ def test_membership_edge_cases_match_reference():
         for fn in (ideal_membership, ref.ideal_membership_reference):
             with pytest.raises(DegreeMismatch):
                 fn(GraphPolynomial.zero(6, 2), [segre_cubic(6)], k)
+
+
+def test_membership_with_fractional_coefficients_matches_reference():
+    """Generators and candidates with non-integral coefficients: the columns
+    then hold Fractions and the certificate several denominators."""
+    rng = random.Random(1616)
+    generators = [Fraction(rng.choice((1, 2, 3)), rng.choice((2, 3, 5))) * g for g in simple_binomial_relations(8)]
+    matchings = enumerate_matchings(8)
+    member, cert = assert_membership_matches(Fraction(2, 7) * segre_cubic(8), generators, 3)
+    assert member and len({coeff.denominator for _, _, coeff in cert}) > 1
+    for _ in range(2):
+        poly = Fraction(1, 3) * random_member(rng, generators, matchings)
+        member, cert = assert_membership_matches(poly, generators, 3)
+        assert member and cert
+        extra = tuple(matchings[rng.randrange(len(matchings))] for _ in range(3))
+        poly = poly + GraphPolynomial(8, {extra: Fraction(1, 2)}, degree=3)
+        assert assert_membership_matches(poly, generators, 3) == (False, None)
+
+
+def test_generators_on_other_vertex_counts_are_refused():
+    with pytest.raises(VertexCountMismatch):
+        ideal_membership(segre_cubic(8), simple_binomial_relations(10), 3)
+    with pytest.raises(VertexCountMismatch):
+        ideal_membership(segre_cubic(10), simple_binomial_relations(8), 3)
 
 
 def test_degree_3_multiplication_map_is_onto_at_10():
