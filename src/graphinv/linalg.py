@@ -1,15 +1,16 @@
 """Exact rational linear algebra: rank, kernel bases, span membership.
 
 Matrices are stored as sparse columns ({row: value}, int wherever a value
-is integral).  Elimination is fraction-free over int: each column is
-scaled to integers by the lcm of its denominators, and a sparse
-column-echelon optionally tracks how each reduced row was formed from the
-original columns, so span membership can hand back certificate
-coefficients.  Rows are renumbered lightest first before elimination, so
-the sparsest rows become pivots and fill-in stays low (structured
-Gaussian elimination); results are indexed by column and do not depend on
-the row order.  Fractions appear only in results.  No floating point
-anywhere.
+is integral).  One fraction-free elimination pass serves all three: it
+scales each column to integers by the lcm of its denominators, inserts it
+into a sparse column-echelon that can track how each row was formed from
+the original columns, and yields each column that depends on the earlier
+ones.  rank counts them, kernel_basis reads each as a kernel vector, and
+in_span adds its target as a last column and reads the target's own
+dependency as the certificate.  Rows are renumbered lightest first, so the
+sparsest rows become pivots and fill-in stays low (structured Gaussian
+elimination); results are indexed by column and do not depend on the row
+order.  Fractions appear only in results.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ def _sparse(items: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
 
 def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | Fraction]:
     """A dense sequence of length height, or a {row: value} mapping with
-    rows in 0..height-1, as a sparse column."""
+    int rows in 0..height-1, as a sparse column."""
     if isinstance(c, Mapping):
+        if {*map(type, c)} - {int} and any(not isinstance(i, int) or isinstance(i, bool) for i in c):
+            raise DimensionMismatch("a row index that is not an int")
         col = _sparse(c.items())
         if col and (min(col) < 0 or max(col) >= height):
             raise DimensionMismatch(f"a row index outside 0..{height - 1}")
@@ -192,17 +195,14 @@ class _Echelon:
     def __init__(self):
         self.rows: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
 
-    def reduce(self, vec: dict[int, int], expr: dict[int, int] | None) -> tuple[int | None, int]:
+    def reduce(self, vec: dict[int, int], expr: dict[int, int] | None) -> int | None:
         """Eliminate vec (in place) against stored rows, fraction-free.
 
-        Returns (p, m): p is the leading surviving index, or None when vec
-        reduces to zero, and m is the running multiplier: the reduced vec
-        is m * vec_original plus a combination of stored rows.  expr, when
-        given, is scaled and updated alongside with the rows' provenance,
-        so vec - sum(expr[j] * column_j) stays m times its starting value
-        (see in_span)."""
+        Returns the leading surviving index, or None when vec reduces to
+        zero.  expr, when given, is scaled and updated alongside with the
+        rows' provenance, so vec stays sum(expr[j] * column_j) over the
+        inserted columns when expr starts as {j: 1} for vec = column_j."""
         heap = sorted(vec)
-        mult = 1
         while heap:
             p = heapq.heappop(heap)
             c = vec.get(p)
@@ -210,14 +210,13 @@ class _Echelon:
                 continue
             hit = self.rows.get(p)
             if hit is None:
-                return p, mult
+                return p
             rvec, rexpr = hit
             b = rvec[p]
             if b != 1:
                 g = math.gcd(c, b)
                 f, c = b // g, c // g
                 if f != 1:
-                    mult *= f
                     for k in vec:
                         vec[k] *= f
                     if expr:
@@ -228,11 +227,11 @@ class _Echelon:
                 heapq.heappush(heap, col)
             if expr is not None and rexpr:
                 _subtract(expr, c, rexpr)
-        return None, mult
+        return None
 
     def insert(self, vec: dict[int, int], expr: dict[int, int] | None) -> int | None:
         """Reduce vec and store it when independent; returns its pivot or None."""
-        p, _ = self.reduce(vec, expr)
+        p = self.reduce(vec, expr)
         if p is None:
             return None
         g = math.gcd(*vec.values(), *(expr.values() if expr else ()))
@@ -246,11 +245,25 @@ class _Echelon:
         return p
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank (column insertion count)."""
+def _dependencies(m: RationalMatrix, target: dict | None = None, provenance: bool = True):
+    """Insert m's columns, then target as column m.cols, into one echelon,
+    rows renumbered lightest first by m alone.  Yields (j, expr, scales) for
+    each column j dependent on those before it: 0 = sum expr[c] * scales[c]
+    * column_c, with expr[j] != 0 (expr is None with provenance off)."""
     new = _light_first(m)
     ech = _Echelon()
-    return sum(ech.insert(_scaled(col, new)[0], None) is not None for col in m._columns)
+    scales = []
+    for j, col in enumerate(m._columns if target is None else (*m._columns, target)):
+        vec, s = _scaled(col, new)
+        scales.append(s)
+        expr = {j: 1} if provenance else None
+        if ech.insert(vec, expr) is None:
+            yield j, expr, scales
+
+
+def rank(m: RationalMatrix) -> int:
+    """Exact rank (column insertion count)."""
+    return m.cols - sum(1 for _ in _dependencies(m, provenance=False))
 
 
 def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
@@ -269,18 +282,10 @@ def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Primitive-integer basis of the right kernel, one vector per
     dependent column, in column order; length = cols - rank."""
-    new = _light_first(m)
-    ech = _Echelon()
-    scales = []
-    out = []
-    for j, col in enumerate(m._columns):
-        vec, s = _scaled(col, new)
-        scales.append(s)
-        expr = {j: 1}
-        if ech.insert(vec, expr) is None:
-            # 0 = sum expr[c] * s_c * column_c
-            out.append(_primitive({c: val * scales[c] for c, val in expr.items()}, m.cols))
-    return out
+    return [
+        _primitive({c: val * scales[c] for c, val in expr.items()}, m.cols)
+        for _, expr, scales in _dependencies(m)
+    ]
 
 
 def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Fraction, ...] | None:
@@ -289,23 +294,15 @@ def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Frac
     unique solution supported on the greedy independent columns, and it is
     re-verified exactly before returning."""
     target = _column(v, m.rows)
-    new = _light_first(m)
-    ech = _Echelon()
-    scales = []
-    for j, col in enumerate(m._columns):
-        vec, s = _scaled(col, new)
-        scales.append(s)
-        ech.insert(vec, {j: 1})
-    qvec, qs = _scaled(target, new)
-    qexpr: dict[int, int] = {}
-    p, mult = ech.reduce(qvec, qexpr)
-    if p is not None:
+    t = m.cols
+    for j, expr, scales in _dependencies(m, target):
+        if j == t:
+            break
+    else:
         return None
-    # 0 = mult * qs * v + sum qexpr[c] * s_c * column_c
-    x = [_ZERO] * m.cols
-    for c, val in qexpr.items():
-        x[c] = Fraction(-val * scales[c], mult * qs)
-    x = tuple(x)
+    # 0 = expr[t] * s_t * v + sum expr[c] * s_c * column_c
+    den = expr[t] * scales[t]
+    x = tuple(Fraction(-expr[c] * scales[c], den) if c in expr else _ZERO for c in range(t))
     if m.matvec(x) != tuple(target.get(i, _ZERO) for i in range(m.rows)):
         raise AssertionError("span certificate failed re-verification")
     return x

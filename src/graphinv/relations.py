@@ -370,8 +370,6 @@ def ideal_membership(
 
     red_cand = _reduced_terms(candidate)
     target = {index[mono]: c for mono, c in red_cand.items()}
-    if not columns:
-        return (True, []) if not target else (False, None)
     x = in_span(target, RationalMatrix.from_columns(columns, height=len(index)))
     if x is None:
         return (False, None)

@@ -50,6 +50,13 @@ def assert_same_as_reference(m, targets):
         want = ref.in_span(dense, m)
         assert repr(in_span(dense, m)) == repr(want)
         assert repr(in_span(v, m)) == repr(want)
+        # the certificate is the dependency of v as a last column of [m | v]
+        mv = RationalMatrix.from_columns([*map(m.column, range(m.cols)), dense], height=m.rows)
+        if rank(mv) > rank(m):
+            assert want is None
+        else:
+            last = kernel_basis(mv)[-1]
+            assert repr(tuple(-y / last[-1] for y in last)) == repr((*want, Fraction(-1)))
 
 
 def targets_for(rng, m, rational):
@@ -143,6 +150,14 @@ def test_sparse_columns_are_checked():
         RationalMatrix.from_columns([[1, 2]], height=3)
     with pytest.raises(DimensionMismatch):
         in_span({3: 1}, RationalMatrix.from_columns([{0: 1}], height=3))
+    # a row index must be an int, and not a bool
+    for key in (1.5, "a", True, Fraction(1), None):
+        with pytest.raises(DimensionMismatch):
+            RationalMatrix.from_columns([{key: 3}], height=3)
+        with pytest.raises(DimensionMismatch):
+            RationalMatrix.from_columns([{0: 1, key: 0}], height=3)
+        with pytest.raises(DimensionMismatch):
+            in_span({key: 1}, RationalMatrix.from_columns([{0: 1}], height=3))
 
 
 def test_membership_and_quadric_space_match_reference(monkeypatch):

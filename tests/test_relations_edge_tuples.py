@@ -111,6 +111,8 @@ def test_membership_edge_cases_match_reference():
     gens = simple_binomial_relations(8)
     assert assert_membership_matches(GraphPolynomial.zero(8, 3), gens, 3) == (True, [])
     assert assert_membership_matches(segre_cubic(6), [], 3) == (False, None)
+    assert assert_membership_matches(GraphPolynomial.zero(6, 3), [], 3) == (True, [])
+    assert assert_membership_matches(GraphPolynomial.zero(6, 3), [GraphPolynomial.zero(6, 2)], 3) == (True, [])
     # a generator that reduces to zero is skipped; one of degree 0 takes every monomial as cofactor
     assert_membership_matches(segre_cubic(8), [GraphPolynomial.zero(8, 2)] + gens, 3)
     unit = GraphPolynomial(6, {(): 1}, degree=0)
