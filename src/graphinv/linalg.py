@@ -45,10 +45,9 @@ def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | 
     if isinstance(c, Mapping):
         if {*map(type, c)} - {int} and any(not isinstance(i, int) or isinstance(i, bool) for i in c):
             raise DimensionMismatch("a row index that is not an int")
-        col = _sparse(c.items())
-        if col and (min(col) < 0 or max(col) >= height):
+        if c and (min(c) < 0 or max(c) >= height):
             raise DimensionMismatch(f"a row index outside 0..{height - 1}")
-        return col
+        return _sparse(c.items())
     c = tuple(c)
     if len(c) != height:
         raise DimensionMismatch(f"vector of length {len(c)} against {height} rows")

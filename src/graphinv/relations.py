@@ -174,8 +174,8 @@ def noncrossing_monomial_matrix(n: int, k: int) -> RationalMatrix:
     multidegree-(k,...,k) basis.
 
     Built on sorted edge tuples with int coefficients: each distinct
-    product is expanded once by the straightening kernel, outside its memo,
-    and goes straight to its basis rows."""
+    product is expanded once by the straightening kernel and goes straight
+    to its basis rows."""
     monos = noncrossing_monomials(n, k)
     index = {g.edges: i for i, g in enumerate(enumerate_noncrossing(n, (k,) * n))}
     expanded: dict[tuple, dict[int, int]] = {}
@@ -279,6 +279,14 @@ def expand_variable(m: Graph) -> GraphCombination:
     return straighten_graph(m)
 
 
+@functools.cache
+def _variable(m: Graph) -> dict[tuple, int]:
+    """_normal_form of a canonical matching: the table of matching
+    variables, at most (n-1)!! entries per n.  Values are shared between
+    callers; never mutate one."""
+    return _normal_form(m)
+
+
 def _reduced_terms(p: GraphPolynomial) -> dict[tuple, int | Fraction]:
     """The terms of reduce_to_noncrossing_vars(p) as {sorted tuple of
     factor edge tuples: nonzero coefficient}, in no particular order."""
@@ -286,7 +294,7 @@ def _reduced_terms(p: GraphPolynomial) -> dict[tuple, int | Fraction]:
     for mono, coeff in p.terms.items():
         if coeff.denominator == 1:
             coeff = coeff.numerator  # the product loop below then runs on int
-        for combo in itertools.product(*(_normal_form(f).items() for f in mono)):
+        for combo in itertools.product(*(_variable(f).items() for f in mono)):
             c = coeff
             for _, k in combo:
                 c *= k

@@ -105,16 +105,6 @@ def plucker_exchange(g: Graph, e1: int, e2: int) -> GraphCombination:
     return GraphCombination(g.n, terms, degree=g.multidegree())
 
 
-# Top-level results the straightening memo may hold.  It is checked, and
-# cleared when over, only as a top-level call starts.
-_MEMO_CAP = 10_000
-
-# (n, canonical sorted edges) -> {non-crossing canonical sorted edges: int}
-# for the graphs of top-level calls.  Values are handed to callers as they
-# are; never mutate one.
-_MEMO: dict[tuple[int, tuple], dict[tuple, int]] = {}
-
-
 @cache
 def _chords(n: int) -> tuple[float, ...]:
     """Euclidean length of a chord of span s = h - t with the n vertices on
@@ -223,30 +213,20 @@ def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
 
 
 def _normal_form(g: Graph) -> dict[tuple, int]:
-    """Expansion of a canonical graph on the non-crossing basis, as
-    {canonical sorted edges: int}; the caller must not mutate it.
+    """Expansion of a canonical graph on the non-crossing basis, as a new
+    {canonical sorted edges: int}.
 
-    A top-level call: it clears an over-full memo, and takes its first
-    exchange through the public crossing_pairs and plucker_exchange before
-    the kernel expands the two children.
+    The first exchange goes through the public crossing_pairs and
+    plucker_exchange; the kernel expands the two children.
     """
-    if len(_MEMO) > _MEMO_CAP:
-        _MEMO.clear()
-    key = (g.n, g.edges)
-    out = _MEMO.get(key)
-    if out is not None:
-        return out
     cross = crossing_pairs(g)
     if not cross:
-        out = {g.edges: 1}
-    else:
-        step = plucker_exchange(g, *cross[0]).terms
-        assert all(
-            _chord_length(g.n, h.edges) < _chord_length(g.n, g.edges) - 1e-9 for h in step
-        ), "an exchange must shorten the chords"
-        out = _expand(g.n, {h.edges: int(k) for h, k in step.items()})
-    _MEMO[key] = out
-    return out
+        return {g.edges: 1}
+    step = plucker_exchange(g, *cross[0]).terms
+    assert all(
+        _chord_length(g.n, h.edges) < _chord_length(g.n, g.edges) - 1e-9 for h in step
+    ), "an exchange must shorten the chords"
+    return _expand(g.n, {h.edges: int(k) for h, k in step.items()})
 
 
 def _combination(n: int, degree, pairs: Iterable[tuple[tuple, object]]) -> GraphCombination:

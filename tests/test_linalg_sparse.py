@@ -150,6 +150,11 @@ def test_sparse_columns_are_checked():
         RationalMatrix.from_columns([[1, 2]], height=3)
     with pytest.raises(DimensionMismatch):
         in_span({3: 1}, RationalMatrix.from_columns([{0: 1}], height=3))
+    # zero values are range-checked too
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix.from_columns([{0: 1, 5: 0, -2: 0}], height=3)
+    with pytest.raises(DimensionMismatch):
+        in_span({7: 0, 0: 2}, RationalMatrix.from_columns([[1, 0, 0]]))
     # a row index must be an int, and not a bool
     for key in (1.5, "a", True, Fraction(1), None):
         with pytest.raises(DimensionMismatch):

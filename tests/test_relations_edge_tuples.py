@@ -2,7 +2,8 @@
 membership assembled on sorted edge tuples with int coefficients, against
 the references that go through public objects (tests/relations_reference.py);
 and what that assembly makes cheap: the degree-3 multiplication map at
-n=10, and matrix assembly that leaves the straightening memo alone."""
+n=10; and the table of matching variables, which only the reduction to
+non-crossing variables fills."""
 
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import relations_reference as ref
-from graphinv import straightening
+from graphinv import relations, straightening
 from graphinv.errors import DegreeMismatch, VertexCountMismatch
 from graphinv.graphs import Graph, enumerate_matchings, enumerate_noncrossing
 from graphinv.linalg import rank
@@ -22,9 +23,11 @@ from graphinv.relations import (
     polynomial_to_json,
     quadric_relation_space,
     reduce_to_noncrossing_vars,
+    ring_normal_form,
     segre_cubic,
     simple_binomial_relations,
 )
+from graphinv.straightening import straighten_graph
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), (10, 2)])
@@ -156,7 +159,28 @@ def test_degree_3_multiplication_map_is_onto_at_10():
     assert rank(m) == basis
 
 
+def table_size():
+    return relations._variable.cache_info().currsize
+
+
 def test_matrix_assembly_leaves_the_memo_alone():
-    before = len(straightening._MEMO)
+    before = table_size()
     assert len(quadric_relation_space(10)) == 300
-    assert len(straightening._MEMO) == before
+    assert table_size() == before
+
+
+def test_straightening_non_matchings_leaves_the_variable_table_alone():
+    before = table_size()
+    straighten_graph(Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8), (1, 3), (6, 8)]))
+    assert ring_normal_form(segre_cubic(8)).is_zero
+    assert table_size() == before
+
+
+def test_variable_table_holds_matching_variables():
+    relations._variable.cache_clear()
+    member, _ = ideal_membership(segre_cubic(8), simple_binomial_relations(8), 3)
+    assert member
+    assert table_size() <= 105  # (8-1)!! matchings
+    for m in enumerate_matchings(8):
+        assert relations._variable(m) == straightening._normal_form(m)
+    assert table_size() == 105

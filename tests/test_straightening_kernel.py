@@ -134,30 +134,12 @@ def test_deep_input_needs_no_recursion():
     assert s.terms == want
 
 
-def test_memo_cap_clears_at_the_next_call(monkeypatch):
-    graphs = [
-        Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8)]),
-        Graph(8, [(1, 4), (2, 6), (3, 8), (5, 7)]),
-        Graph(8, [(1, 3), (2, 6), (4, 7), (5, 8)]),
-    ]
-    want = [reference_straighten_graph(g) for g in graphs]
-    monkeypatch.setattr(straightening, "_MEMO", {})
-    monkeypatch.setattr(straightening, "_MEMO_CAP", 1)
-    assert straighten_graph(graphs[0]) == want[0]
-    assert straighten_graph(graphs[1]) == want[1]
-    assert len(straightening._MEMO) == 2  # over the cap; only a call's entry clears it
-    assert straighten_graph(graphs[2]) == want[2]
-    assert list(straightening._MEMO) == [(8, canonicalize(graphs[2]).graph.edges)]
-    assert straighten_graph(graphs[0]) == want[0]
-
-
-def test_memo_under_cap_is_kept(monkeypatch):
-    g = Graph(6, [(1, 4), (2, 5), (3, 6)])
-    monkeypatch.setattr(straightening, "_MEMO", {})
-    straighten_graph(g)
-    kept = dict(straightening._MEMO)
-    straighten_graph(Graph(6, [(1, 3), (2, 5), (4, 6)]))
-    assert all(straightening._MEMO[k] is v for k, v in kept.items())
+def test_normal_form_keeps_no_state():
+    for edges in ([(1, 4), (2, 5), (3, 6)], [(1, 2), (3, 4), (5, 6)]):
+        g, _ = canonicalize(Graph(6, edges))
+        first = straightening._normal_form(g)
+        second = straightening._normal_form(g)
+        assert first == second and first is not second
 
 
 def random_matching_edges(rng, n):
