@@ -36,10 +36,8 @@ from .graphs import (
     edges_cross,
     enumerate_matchings,
     enumerate_noncrossing,
-    epsilon,
     graph_from_json,
     graph_to_json,
-    multidegree,
     multiply,
     noncrossing_matchings,
 )

@@ -377,6 +377,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(f"error: the {args.command} computation is nested too deeply", file=sys.stderr)
+        return 2
     try:
         if args.format == "json":
             text = None  # release what the closure holds (for plucker, every relation) before the layout

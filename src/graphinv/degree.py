@@ -19,7 +19,6 @@ so it takes no stack; only merges recurse, at most one level per point.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable
 
 from .errors import DegenerateModuli, EmptyModuli, OddTotalWeight
 from .graphs import Graph, WeightVector
@@ -61,14 +60,14 @@ def _validate(w: tuple[int, ...]) -> None:
         raise DegenerateModuli(f"only {len(w)} weighted points remain")
 
 
-def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None) -> dict:
+def _degree(w: tuple[int, ...], memo: dict) -> dict:
     """The recursion tree of canonical w, whose "degree" is the degree of w.
 
     A run of pair reductions is walked in a loop; once it ends, the nodes
     of the run (and their memo entries) are filled in child first.  Merges
     recurse, at most one level per point."""
     chain = []
-    while memo is None or w not in memo:
+    while w not in memo:
         _validate(w)
         if len(w) == 3 or 2 * (w[0] + w[1]) <= sum(w):
             break
@@ -76,7 +75,7 @@ def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None) -> dict:
         chain.append(w)
         w = _canon(x for x in (w[0] - 1, w[1] - 1) + w[2:] if x > 0)
     node: dict = {"weights": list(w)}
-    if memo is not None and w in memo:
+    if w in memo:
         node.update(action="memoized", degree=memo[w])
     elif len(w) == 3:
         node.update(action="point", degree=1)
@@ -84,9 +83,7 @@ def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None) -> dict:
         node.update(action="balanced-quadruple", degree=w[0])
     else:
         total = sum(w)
-        g = builder(w)
-        if g.multidegree() != w:
-            raise ValueError(f"graph builder returned multidegree {g.multidegree()}, wanted {w}")
+        g = greedy_multigraph(w)
         mult = Counter((min(t, h), max(t, h)) for t, h in g.edges)
         branches = []
         for (j, k), m in sorted(mult.items()):
@@ -94,37 +91,32 @@ def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None) -> dict:
             branch = {"pair": [j, k], "multiplicity": m, "weight_sum": s}
             if 2 * s < total:
                 merged = _canon(tuple(x for i, x in enumerate(w) if i not in (j - 1, k - 1)) + (s,))
-                child = _degree(merged, builder, memo)
+                child = _degree(merged, memo)
                 branch.update(contribution=m * child["degree"], child=child)
             else:
                 branch.update(contribution=0, note="pair weight equals half the total; not a component")
             branches.append(branch)
         node.update(action="multigraph", graph_edges=[[t, h] for t, h in g.edges], branches=branches,
                     degree=sum(b["contribution"] for b in branches))
-    if memo is not None:
-        memo[w] = node["degree"]
+    memo[w] = node["degree"]
     for v in reversed(chain):
         node = {"weights": list(v), "action": "pair-reduction", "pair": [v[0], v[1]], "child": node,
                 "degree": node["degree"]}
-        if memo is not None:
-            memo[v] = node["degree"]
+        memo[v] = node["degree"]
     return node
 
 
-def moduli_degree(w, graph_builder: Callable = greedy_multigraph, use_memo: bool = True) -> int:
+def moduli_degree(w) -> int:
     """Degree of the moduli space of w-weighted points on the line, under
-    its natural projective embedding.  graph_builder may replace the greedy
-    multigraph choice (the result must not change); use_memo=False disables
-    the per-call memo table for transparency checks."""
-    memo = {} if use_memo else None
-    return _degree(_canon(WeightVector.of(w).w), graph_builder, memo)["degree"]
+    its natural projective embedding."""
+    return degree_trace(w)[0]
 
 
 def degree_trace(w) -> tuple[int, dict]:
     """moduli_degree plus the recursion tree that computed it, for display.
     Weight vectors in the tree are sorted descending, as the recursion
     canonicalizes."""
-    node = _degree(_canon(WeightVector.of(w).w), greedy_multigraph, {})
+    node = _degree(_canon(WeightVector.of(w).w), {})
     return node["degree"], node
 
 

@@ -97,11 +97,6 @@ class Canonical(NamedTuple):
     sign: int
 
 
-def multidegree(g: Graph) -> tuple[int, ...]:
-    """Valence vector of g; additive under multiply."""
-    return g.multidegree()
-
-
 def canonicalize(g: Graph) -> Canonical:
     """Reorient every edge tail < head and sort; sign is (-1)^flips.
 
@@ -270,11 +265,6 @@ class WeightVector:
 
     def __repr__(self):
         return f"WeightVector{self.w}"
-
-
-def epsilon(w) -> int:
-    """Smallest degree step of the graded ring: 1 if total weight even, else 2."""
-    return 1 if WeightVector.of(w).total % 2 == 0 else 2
 
 
 def graph_to_json(g: Graph) -> dict:

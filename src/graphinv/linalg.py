@@ -98,13 +98,6 @@ class RationalMatrix:
         col = self._columns[j]
         return tuple(Fraction(col[i]) if i in col else _ZERO for i in range(self.rows))
 
-    def transpose(self) -> "RationalMatrix":
-        out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self._columns):
-            for i, v in col.items():
-                out[i][j] = v
-        return RationalMatrix._of(self.cols, out)
-
     def matvec(self, x: Sequence) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
             raise DimensionMismatch(f"vector of length {len(x)} against {self.cols} columns")

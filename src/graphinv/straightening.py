@@ -63,8 +63,8 @@ class GraphCombination(Combination):
         return g.edges
 
     @classmethod
-    def from_graph(cls, g: Graph, coeff=1) -> "GraphCombination":
-        return cls(g.n, [(g, coeff)])
+    def from_graph(cls, g: Graph) -> "GraphCombination":
+        return cls(g.n, [(g, 1)])
 
     def __repr__(self):
         if self.is_zero:

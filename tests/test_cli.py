@@ -104,6 +104,22 @@ def test_degree_deep_trace_leaves_no_traceback(weights, fmt):
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
 
+SHALLOW_STACK_DEGREE = """
+import sys
+sys.setrecursionlimit(100)
+from graphinv.cli import main
+sys.exit(main(["degree", "--weights", ",".join(["1"] * 120)]))
+"""
+
+
+def test_degree_too_deep_for_the_stack_exits_2():
+    # The computation recurses once per merge, so 120 unit weights under a
+    # limit of 100 frames stand in for about 1,200 under the default one.
+    proc = run_child("-c", SHALLOW_STACK_DEGREE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the degree computation is nested too deeply\n"
+
+
 def test_degree_odd_total_exits_2(capsys):
     code, out, err = run(capsys, "degree", "--weights", "1,1,1")
     assert code == 2 and out == ""

@@ -1,0 +1,147 @@
+"""Fuzz of the CLI boundary: whatever document a subcommand reads, main
+returns 0, 1 or 2 and writes no traceback.
+
+Documents are drawn well-formed and malformed: graphs, polynomials and
+configurations, as JSON text, as arbitrary JSON values, or as raw text.
+Sizes stay small (at most 8 points, monomials of degree at most 3) so
+that each run is quick."""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphinv.cli import main
+
+# Mostly rational literals, a few of them with a zero denominator, and
+# sometimes a value of the wrong kind.
+rationals = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(str),
+    st.tuples(st.integers(-3, 3), st.integers(-1, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.integers(-3, 3),
+    st.sampled_from(["inf", "x", "", "1/2/3", "nan", None, True, 1.5, [1]]),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.floats(allow_nan=False), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def graphs(draw, n, max_edges=8):
+    """A graph document on n points, usually well formed."""
+    vertex = st.integers(0, n + 1) if draw(st.integers(0, 9)) == 0 else st.integers(1, max(n, 1))
+    edges = draw(st.lists(st.tuples(vertex, vertex).map(list), max_size=max_edges))
+    return {"n": n, "edges": edges}
+
+
+@st.composite
+def matchings(draw, n):
+    """A perfect matching on n points as a graph document."""
+    order = draw(st.permutations(range(1, n + 1)))
+    return {"n": n, "edges": [[order[i], order[i + 1]] for i in range(0, n - 1, 2)]}
+
+
+@st.composite
+def regular_graphs(draw, n):
+    """A union of perfect matchings on even n: a regular graph for kempe."""
+    parts = draw(st.lists(matchings(n), min_size=1, max_size=3))
+    return {"n": n, "edges": [e for m in parts for e in m["edges"]]}
+
+
+@st.composite
+def polynomials(draw, n):
+    """A polynomial document in matching variables on even n <= 8 points."""
+    degree = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coeff, factor = st.integers(-3, 3), matchings(n)
+    else:
+        coeff, factor = rationals, st.one_of(matchings(n), graphs(n, max_edges=n // 2 + 1))
+    terms = draw(st.lists(
+        st.fixed_dictionaries({"coeff": coeff, "monomial": st.lists(factor, min_size=degree, max_size=degree)}),
+        max_size=3,
+    ))
+    return {"n": n, "terms": terms}
+
+
+def point_lists(n):
+    """n affine points, mostly distinct integers or inf, sometimes garbage
+    or a different count."""
+    good = st.lists(st.sampled_from(["inf"] + [str(x) for x in range(-4, 5)]), min_size=n, max_size=n, unique=True)
+    return st.one_of(good, good, st.lists(rationals.map(str), max_size=8))
+
+
+def configurations(n):
+    """A configuration document of homogeneous coordinate strings."""
+    affine = point_lists(n).map(lambda ps: [["1", "0"] if p == "inf" else [p, "1"] for p in ps])
+    raw = st.lists(st.tuples(rationals, rationals).map(list), max_size=8)
+    return st.one_of(affine, raw).map(lambda points: {"points": points})
+
+
+def documents(well_formed):
+    """JSON text of well_formed documents, or of anything else, or no JSON at all."""
+    return st.one_of(
+        well_formed.map(json.dumps),
+        well_formed.map(json.dumps),
+        json_values.map(json.dumps),
+        st.text(max_size=12),
+    )
+
+
+@st.composite
+def invocations(draw):
+    """argv, the standard input and, for eval, the text of the graph file
+    of one CLI call."""
+    command = draw(st.sampled_from(["straighten", "kempe", "eval", "check-ideal", "chart"]))
+    fmt = draw(st.sampled_from(["text", "json"]))
+    if command == "check-ideal":
+        n = draw(st.sampled_from([4, 6, 8]))  # the generators start at n = 6
+    elif command in ("kempe", "chart"):
+        n = draw(st.sampled_from([2, 4, 6, 8]))
+    else:
+        n = draw(st.integers(0, 8))
+    argv, stdin, graph = [command, "--format", fmt], "", None
+    if command in ("straighten", "kempe"):
+        argv += ["--graph", "-"]
+        stdin = draw(documents(st.one_of(regular_graphs(n), graphs(n))))
+    elif command == "check-ideal":
+        argv += ["--candidate", "-", f"--n={draw(st.one_of(st.just(n), st.integers(-1, 8)))}"]
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"--degree={draw(st.integers(-1, 3))}")
+        stdin = draw(documents(polynomials(n)))
+    else:
+        if command == "eval":
+            graph = draw(documents(graphs(n)))
+        if draw(st.booleans()):
+            argv.append(f"--points={','.join(draw(point_lists(n)))}")
+        else:
+            argv += ["--config", "-"]
+            stdin = draw(documents(configurations(n)))
+    return argv, stdin, graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations())
+def test_cli_boundary_exits_0_1_or_2_without_traceback(tmp_path_factory, call):
+    argv, stdin, graph = call
+    if graph is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        path.write_text(graph)
+        argv = argv + ["--graph", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), (argv, stdin, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

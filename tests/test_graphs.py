@@ -23,7 +23,6 @@ from graphinv.graphs import (
     edges_cross,
     enumerate_matchings,
     enumerate_noncrossing,
-    epsilon,
     graph_from_json,
     graph_to_json,
     multiply,
@@ -189,7 +188,7 @@ def test_noncrossing_matchings_sorted_lex():
     assert all(m.is_noncrossing() and m.is_matching() for m in ms)
 
 
-def test_weight_vector_and_epsilon():
+def test_weight_vector():
     w = WeightVector((2, 1, 1))
     assert w.n == 3 and w.total == 4 and w[0] == 2
     assert WeightVector.of(w) is w
@@ -198,8 +197,6 @@ def test_weight_vector_and_epsilon():
         WeightVector((1, 0))
     with pytest.raises(ValueError):
         WeightVector(())
-    assert epsilon((1, 1, 1, 1)) == 1
-    assert epsilon((1, 1, 1)) == 2
 
 
 def test_graph_json_round_trip():
