@@ -38,7 +38,7 @@ from .graphs import (
     graph_to_json,
     noncrossing_matchings,
 )
-from .linalg import RationalMatrix, in_span, kernel_basis
+from .linalg import RationalMatrix, _dependencies, in_span, kernel_basis
 from .straightening import GraphCombination, _expand, _normal_form, straighten, straighten_graph
 
 
@@ -349,6 +349,23 @@ def ideal_membership(
     index = {m: t for t, m in enumerate(itertools.combinations_with_replacement(graph_of, k))}
 
     reduced = [_reduced_terms(g) for g in generators]
+    by_degree: dict[int, list[int]] = {}
+    for gi, red in enumerate(reduced):
+        if not red:
+            continue
+        if generators[gi].degree > k:
+            raise DegreeMismatch(f"generator {gi} has degree {generators[gi].degree} > {k}")
+        by_degree.setdefault(generators[gi].degree, []).append(gi)
+    # a generator in the span of earlier ones of its degree only adds
+    # columns in the span of earlier columns (generator-major order), so
+    # dropping it leaves the greedy independent columns and the certificate
+    redundant = set()
+    for gis in by_degree.values():
+        mono_row: dict[tuple, int] = {}
+        cols = [{mono_row.setdefault(mono, len(mono_row)): c for mono, c in reduced[gi].items()} for gi in gis]
+        gens = RationalMatrix._of(len(mono_row), cols)
+        redundant.update(gis[j] for j, _, _ in _dependencies(gens, provenance=False))
+
     cofactors: dict[int, list[tuple]] = {}
     # cofactor -> {monomial: index of monomial * cofactor}, filled as met:
     # the reduced generators share few monomials, so each product is
@@ -357,10 +374,8 @@ def ideal_membership(
     columns: list[dict[int, int | Fraction]] = []
     provenance: list[tuple[int, tuple]] = []
     for gi, red in enumerate(reduced):
-        if not red:
+        if not red or gi in redundant:
             continue
-        if generators[gi].degree > k:
-            raise DegreeMismatch(f"generator {gi} has degree {generators[gi].degree} > {k}")
         d = k - generators[gi].degree
         if d not in cofactors:
             cofactors[d] = list(itertools.combinations_with_replacement(graph_of, d))

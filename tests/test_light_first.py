@@ -1,6 +1,7 @@
 """Light-first row order in graphinv.linalg: results do not depend on the
 order of the rows, the order keeps the fill-in of the membership matrix
-down, and the simple quadrics span the degree-3 relations at n=8."""
+down, pruned or not, and the simple quadrics span the degree-3 relations
+at n=8."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as ref
+import relations_reference as relations_ref
 from graphinv import linalg, relations
 from graphinv.graphs import Graph, enumerate_noncrossing, noncrossing_matchings
 from graphinv.linalg import RationalMatrix, in_span, kernel_basis, rank
@@ -78,21 +80,25 @@ def stored_nonzeros(ech):
     return sum(len(vec) + len(expr or ()) for vec, expr in ech.rows.values())
 
 
-def test_membership_fill_in_is_pinned(monkeypatch):
-    """The segre n=8 membership matrix stores 2,766 nonzeros when its rows
-    are eliminated lightest first, against 4,619 in natural order."""
+def membership_slice(monkeypatch, module, membership):
+    """(target, matrix) that membership, through module's in_span, hands
+    over for the n=8 Segre cubic and simple_binomial_relations(8)."""
     seen = []
 
     def spy(v, m):
         seen.append((v, m))
         return in_span(v, m)
 
-    monkeypatch.setattr(relations, "in_span", spy)
-    member, cert = ideal_membership(segre_cubic(8), simple_binomial_relations(8), 3)
+    monkeypatch.setattr(module, "in_span", spy)
+    member, cert = membership(segre_cubic(8), simple_binomial_relations(8), 3)
     assert member and len(cert) == 84
     ((target, m),) = seen
-    assert (m.rows, m.cols) == (560, 490)
+    return target, m
 
+
+def fill_in(monkeypatch, target, m):
+    """(nonzeros stored by in_span's echelon, rows lightest first; nonzeros
+    stored by an echelon of the columns in natural row order; the rank)."""
     echelons = []
 
     class Recording(linalg._Echelon):
@@ -105,15 +111,32 @@ def test_membership_fill_in_is_pinned(monkeypatch):
     monkeypatch.setattr(linalg, "_Echelon", Recording)
     in_span(target, m)
     (ech,) = echelons
-    light = stored_nonzeros(ech)
-    assert len(ech.rows) == 196
 
     natural = linalg._Echelon()
     for j, col in enumerate(m._columns):
         natural.insert(linalg._scaled(col, range(m.rows))[0], {j: 1})
-    assert len(natural.rows) == 196
-    assert light == 2766
-    assert light < stored_nonzeros(natural) == 4619
+    assert len(natural.rows) == len(ech.rows)
+    return stored_nonzeros(ech), stored_nonzeros(natural), len(ech.rows)
+
+
+def test_membership_fill_in_is_pinned(monkeypatch):
+    """The unpruned segre n=8 membership matrix, every generator times every
+    variable as the reference assembles it, stores 2,766 nonzeros when its
+    rows are eliminated lightest first, against 4,619 in natural order."""
+    target, m = membership_slice(monkeypatch, relations_ref, relations_ref.ideal_membership_reference)
+    assert (m.rows, m.cols) == (560, 490)
+    assert fill_in(monkeypatch, target, m) == (2766, 4619, 196)
+
+
+def test_pruned_membership_fill_in_is_pinned(monkeypatch):
+    """ideal_membership builds the same slice from the 14 of 35 generators
+    independent of earlier ones: 560 x 196, every column independent.  Its
+    lightest-first echelon stores 3,198 nonzeros, more than the unpruned
+    slice's 2,766 (the dropped columns changed the row weights), and still
+    fewer than the 4,619 of natural order, the same echelon as unpruned."""
+    target, m = membership_slice(monkeypatch, relations, ideal_membership)
+    assert (m.rows, m.cols) == (560, 196)
+    assert fill_in(monkeypatch, target, m) == (3198, 4619, 196)
 
 
 def spanning_simple_quadrics(n):
