@@ -29,7 +29,8 @@ from test_relations_edge_tuples import assert_membership_matches, random_polynom
 
 def times(cofactor, g, coeff=1):
     """coeff * cofactor * g, cofactor a tuple of matchings."""
-    return GraphPolynomial(g.n, {cofactor + mono: coeff * c for mono, c in g.terms.items()}, degree=len(cofactor) + g.degree)
+    terms = {cofactor + mono: coeff * c for mono, c in g.terms.items()}
+    return GraphPolynomial(g.n, terms, degree=len(cofactor) + g.degree)
 
 
 def independent_of_earlier(generators):
