@@ -30,7 +30,6 @@ from .errors import (
 from .graphs import (
     Canonical,
     Graph,
-    WeightVector,
     canonicalize,
     crossing_pairs,
     edges_cross,

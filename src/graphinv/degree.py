@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import DegenerateModuli, EmptyModuli, OddTotalWeight
-from .graphs import Graph, WeightVector
+from .graphs import Graph, _weights
 
 
 def greedy_multigraph(w: tuple[int, ...]) -> Graph:
@@ -116,7 +116,7 @@ def degree_trace(w) -> tuple[int, dict]:
     """moduli_degree plus the recursion tree that computed it, for display.
     Weight vectors in the tree are sorted descending, as the recursion
     canonicalizes."""
-    node = _degree(_canon(WeightVector.of(w).w), {})
+    node = _degree(_canon(_weights(w)), {})
     return node["degree"], node
 
 
@@ -124,5 +124,5 @@ def is_boundary(w) -> bool:
     """True when stable configurations do not exist but semistable ones do:
     every semistable configuration is strictly semistable, and the degree
     the recursion reports is flagged rather than interpreted."""
-    w = WeightVector.of(w)
-    return 2 * max(w.w) == w.total
+    w = _weights(w)
+    return 2 * max(w) == sum(w)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import LengthMismatch, MalformedInput, NoStableConfiguration
-from .graphs import Graph, WeightVector
+from .graphs import Graph, _weights
 
 INFINITY_TOKENS = ("inf", "infinity", "oo")
 
@@ -124,9 +124,9 @@ def evaluate_combination(comb, c: Configuration) -> Fraction:
 
 def stability(c: Configuration, w) -> Stability:
     """Classify by the largest total weight carried by coinciding points."""
-    w = WeightVector.of(w)
-    if w.n != c.n:
-        raise LengthMismatch(f"{w.n} weights for {c.n} points")
+    w = _weights(w)
+    if len(w) != c.n:
+        raise LengthMismatch(f"{len(w)} weights for {c.n} points")
     reps: list[int] = []
     class_weight: list[int] = []
     for i in range(1, c.n + 1):
@@ -137,10 +137,10 @@ def stability(c: Configuration, w) -> Stability:
         else:
             reps.append(i)
             class_weight.append(w[i - 1])
-    m = max(class_weight)
-    if 2 * m < w.total:
+    m, total = max(class_weight), sum(w)
+    if 2 * m < total:
         return Stability.STABLE
-    if 2 * m == w.total:
+    if 2 * m == total:
         return Stability.STRICTLY_SEMISTABLE
     return Stability.UNSTABLE
 
@@ -150,18 +150,21 @@ def random_stable_configuration(w, seed: int) -> Configuration:
 
     Affine numerators are drawn from [-10^4, 10^4] with denominator 1 and
     re-drawn on collision, so the result is stable whenever stability is
-    achievable at all (every w_i < total/2).
+    achievable at all (every w_i < total/2).  More than 20,001 points do
+    not fit in that range; they are drawn from [-n, n] instead.
     """
-    w = WeightVector.of(w)
-    if 2 * max(w.w) >= w.total:
+    w = _weights(w)
+    n, total = len(w), sum(w)
+    if 2 * max(w) >= total:
         raise NoStableConfiguration(
-            f"weight {max(w.w)} is at least half of total {w.total}; no stable configuration exists"
+            f"weight {max(w)} is at least half of total {total}; no stable configuration exists"
         )
+    bound = 10000 if n <= 20001 else n
     rng = random.Random(seed)
     seen: set[int] = set()
     pts = []
-    while len(pts) < w.n:
-        x = rng.randint(-10000, 10000)
+    while len(pts) < n:
+        x = rng.randint(-bound, bound)
         if x in seen:
             continue
         seen.add(x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -37,8 +38,8 @@ class Graph:
     __slots__ = ("n", "edges", "_key", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        n = int(n)
-        edges = tuple((int(t), int(h)) for t, h in edges)
+        n = index(n)
+        edges = tuple((index(t), index(h)) for t, h in edges)
         if n < 1:
             raise VertexCountTooSmall("vertex count must be positive")
         for t, h in edges:
@@ -152,7 +153,7 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
     the open arcs plus the other later valences.  Output sorted
     lexicographically by edge list.
     """
-    degree = tuple(int(x) for x in degree)
+    degree = tuple(map(index, degree))
     if len(degree) != n:
         raise LengthMismatch(f"degree vector has length {len(degree)}, expected {n}")
     if any(x < 0 for x in degree):
@@ -212,7 +213,7 @@ def enumerate_matchings(n: int, vertices: Iterable[int] | None = None) -> list[G
 def noncrossing_matchings(n: int, vertices: Iterable[int] | None = None) -> list[Graph]:
     """The non-crossing perfect matchings of the given vertices, sorted
     lexicographically by edge list (monomial orders elsewhere rely on this)."""
-    verts = list(range(1, n + 1)) if vertices is None else [int(v) for v in vertices]
+    verts = list(range(1, n + 1)) if vertices is None else list(map(index, vertices))
     if len(verts) % 2:
         raise OddVertexCount(f"cannot match {len(verts)} vertices")
     if not all(1 <= v <= n for v in verts):
@@ -223,48 +224,17 @@ def noncrossing_matchings(n: int, vertices: Iterable[int] | None = None) -> list
     return enumerate_noncrossing(n, [1 if v in chosen else 0 for v in range(1, n + 1)])
 
 
-class WeightVector:
-    """Positive integer weights attached to the n labeled points."""
-
-    __slots__ = ("w",)
-
-    def __init__(self, w: Iterable[int]):
-        w = tuple(int(x) for x in w)
-        if not w:
-            raise ValueError("weight vector may not be empty")
-        if any(x < 1 for x in w):
-            raise ValueError("weights must be positive integers")
-        self.w = w
-
-    @classmethod
-    def of(cls, w) -> "WeightVector":
-        return w if isinstance(w, cls) else cls(w)
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    @property
-    def total(self) -> int:
-        return sum(self.w)
-
-    def __iter__(self):
-        return iter(self.w)
-
-    def __len__(self):
-        return len(self.w)
-
-    def __getitem__(self, i):
-        return self.w[i]
-
-    def __eq__(self, other):
-        return isinstance(other, WeightVector) and self.w == other.w
-
-    def __hash__(self):
-        return hash(self.w)
-
-    def __repr__(self):
-        return f"WeightVector{self.w}"
+def _weights(w: Iterable[int]) -> tuple[int, ...]:
+    """The weight vector w as a tuple of positive ints: the one place the
+    library checks weights.  Entries are coerced exactly by operator.index,
+    so a non-integral entry such as 1.5 or "2" raises TypeError instead of
+    being truncated; an empty or non-positive vector raises ValueError."""
+    w = tuple(map(index, w))
+    if not w:
+        raise ValueError("weight vector may not be empty")
+    if min(w) < 1:
+        raise ValueError("weights must be positive integers")
+    return w
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -23,7 +23,7 @@ from .errors import (
     NotRegular,
     OddVertexCount,
 )
-from .graphs import Graph, WeightVector, canonicalize, graph_to_json
+from .graphs import Graph, _weights, canonicalize, graph_to_json
 from .straightening import GraphCombination, plucker_exchange
 
 
@@ -203,21 +203,22 @@ def lift_graph(g: Graph, w) -> tuple[Graph, tuple[int, ...]]:
     w_i, so every copy receives exactly d endpoints.  Returns the lifted
     graph and the projection map pi with pi[new_vertex - 1] = old vertex.
     """
-    w = WeightVector.of(w)
+    w = _weights(w)
+    n = len(w)
     deg = g.multidegree()
-    if len(deg) != w.n:
-        raise NotMultipleOfWeight(f"graph on {g.n} vertices, weight vector of length {w.n}")
+    if len(deg) != n:
+        raise NotMultipleOfWeight(f"graph on {g.n} vertices, weight vector of length {n}")
     quotients = set()
     for dv, wv in zip(deg, w):
         if dv % wv:
-            raise NotMultipleOfWeight(f"multidegree {deg} is not a multiple of {w.w}")
+            raise NotMultipleOfWeight(f"multidegree {deg} is not a multiple of {w}")
         quotients.add(dv // wv)
     if len(quotients) != 1 or 0 in quotients:
-        raise NotMultipleOfWeight(f"multidegree {deg} is not d*{w.w} for a single d >= 1")
-    start = [0] * (w.n + 1)
-    for i in range(1, w.n + 1):
+        raise NotMultipleOfWeight(f"multidegree {deg} is not d*{w} for a single d >= 1")
+    start = [0] * (n + 1)
+    for i in range(1, n + 1):
         start[i] = start[i - 1] + w[i - 1]
-    seen = [0] * (w.n + 1)
+    seen = [0] * (n + 1)
 
     def copy_of(v: int) -> int:
         c = start[v - 1] + (seen[v] % w[v - 1]) + 1
@@ -225,8 +226,8 @@ def lift_graph(g: Graph, w) -> tuple[Graph, tuple[int, ...]]:
         return c
 
     new_edges = [(copy_of(t), copy_of(h)) for t, h in g.edges]
-    pi = tuple(old for old in range(1, w.n + 1) for _ in range(w[old - 1]))
-    return Graph(w.total, new_edges), pi
+    pi = tuple(old for old in range(1, n + 1) for _ in range(w[old - 1]))
+    return Graph(sum(w), new_edges), pi
 
 
 def matching_product_to_json(p: MatchingProduct) -> dict:

@@ -24,6 +24,7 @@ import math
 from bisect import bisect_left, insort
 from functools import cache
 from heapq import heapify, heappop, heappush
+from operator import index
 from typing import Iterable
 
 from .errors import (
@@ -251,7 +252,7 @@ def adjacent_clumps(sizes: Iterable[int]) -> list[list[int]]:
     out = []
     start = 1
     for s in sizes:
-        s = int(s)
+        s = index(s)
         if s < 1:
             raise ValueError("clump sizes must be positive")
         out.append(list(range(start, start + s)))

@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Callable
 
 from graphinv.degree import _canon, _validate, greedy_multigraph
-from graphinv.graphs import WeightVector
+from graphinv.graphs import _weights
 
 
 def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None, trace: dict | None) -> int:
@@ -78,11 +78,11 @@ def _degree(w: tuple[int, ...], builder: Callable, memo: dict | None, trace: dic
 def reference_moduli_degree(w, graph_builder: Callable = greedy_multigraph, use_memo: bool = True) -> int:
     """moduli_degree by the frame-per-reduction recursion."""
     memo = {} if use_memo else None
-    return _degree(_canon(WeightVector.of(w).w), graph_builder, memo, None)
+    return _degree(_canon(_weights(w)), graph_builder, memo, None)
 
 
 def reference_degree_trace(w) -> tuple[int, dict]:
     """degree_trace by the frame-per-reduction recursion."""
     trace: dict = {}
-    value = _degree(_canon(WeightVector.of(w).w), greedy_multigraph, {}, trace)
+    value = _degree(_canon(_weights(w)), greedy_multigraph, {}, trace)
     return value, trace

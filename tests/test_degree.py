@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -12,7 +13,7 @@ from graphinv.degree import (
     moduli_degree,
 )
 from graphinv.errors import DegenerateModuli, EmptyModuli, OddTotalWeight
-from graphinv.graphs import Graph
+from graphinv.graphs import Graph, enumerate_noncrossing
 
 from degree_reference import reference_degree_trace, reference_moduli_degree
 
@@ -250,3 +251,52 @@ def test_long_pair_reduction_runs_take_no_stack():
     with recursion_limit(10_000):
         assert reference_degree_trace(w) == (value, tree)
         assert reference_moduli_degree(w) == 17
+
+
+def hilbert_differences(w):
+    """The (n-3)-th finite differences of h(k) = #enumerate_noncrossing(n, k*w)
+    over k = 0..n-2: the count of non-crossing graphs of multidegree k*w is
+    the Hilbert function, whose leading difference is the degree."""
+    n = len(w)
+    h = [len(enumerate_noncrossing(n, [k * x for x in w])) for k in range(n - 1)]
+    for _ in range(n - 3):
+        h = [b - a for a, b in zip(h, h[1:])]
+    return h
+
+
+HILBERT_DEGREES = [
+    ((1,) * 4, 1),
+    ((1,) * 6, 3),
+    ((1,) * 8, 40),
+    ((2,) * 5, 5),
+    ((2, 2, 1, 1, 1, 1), 4),
+    ((3, 1, 1, 1, 1, 1), 1),
+    ((2, 1, 1, 1, 1, 1, 1), 10),
+    ((3, 3, 2, 2, 2), 6),
+    ((2, 2, 2, 1, 1), 2),
+    ((3, 2, 2, 2, 1), 3),
+    ((4, 3, 3, 3, 3), 12),
+]
+
+
+def test_hilbert_function_oracle():
+    # an oracle that shares no code with graphinv.degree: the Hilbert function
+    for w, d in HILBERT_DEGREES:
+        assert hilbert_differences(w) == [d, d], w
+        assert moduli_degree(w) == d, w
+    # at n=6, h(k) = C(k+4,4) - C(k+1,4): one cubic hypersurface in P^4
+    assert [len(enumerate_noncrossing(6, (k,) * 6)) for k in range(7)] == [
+        math.comb(k + 4, 4) - math.comb(k + 1, 4) for k in range(7)
+    ]
+
+
+def test_hilbert_function_oracle_on_random_weights():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 12:
+        w = tuple(rng.randint(1, 4) for _ in range(rng.randint(4, 6)))
+        if sum(w) % 2 or 2 * max(w) >= sum(w):  # odd total, boundary or empty
+            continue
+        d = moduli_degree(w)
+        assert hilbert_differences(w) == [d, d], w
+        checked += 1

@@ -171,6 +171,16 @@ def test_random_stable_configuration_impossible():
         random_stable_configuration((5, 1, 1), seed=0)
 
 
+def test_random_stable_configuration_beyond_20001_points():
+    # [-10^4, 10^4] holds 20,001 numerators; one more point needs a wider range
+    w = (1,) * 20002
+    c = random_stable_configuration(w, seed=5)
+    assert c.n == 20002 and all(v == 1 and u.denominator == 1 for u, v in c.points)
+    # distinct points: no class carries more than weight 1 of 20,002, so c is stable
+    assert len({u for u, _ in c.points}) == 20002
+    assert c == random_stable_configuration(w, seed=5)
+
+
 def test_configuration_json_round_trip():
     c = Configuration([(Fraction(1, 2), 1), (1, 0), (-3, 1)])
     j = configuration_to_json(c)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -17,7 +18,7 @@ from graphinv.errors import (
 )
 from graphinv.graphs import (
     Graph,
-    WeightVector,
+    _weights,
     canonicalize,
     crossing_pairs,
     edges_cross,
@@ -28,6 +29,11 @@ from graphinv.graphs import (
     multiply,
     noncrossing_matchings,
 )
+from graphinv.degree import degree_trace, is_boundary, moduli_degree
+from graphinv.evaluation import Configuration, random_stable_configuration, stability
+from graphinv.kempe import lift_graph
+from graphinv.straightening import adjacent_clumps
+
 from graphs_reference import reference_enumerate_noncrossing
 
 
@@ -189,14 +195,39 @@ def test_noncrossing_matchings_sorted_lex():
 
 
 def test_weight_vector():
-    w = WeightVector((2, 1, 1))
-    assert w.n == 3 and w.total == 4 and w[0] == 2
-    assert WeightVector.of(w) is w
-    assert list(WeightVector.of([1, 1])) == [1, 1]
-    with pytest.raises(ValueError):
-        WeightVector((1, 0))
-    with pytest.raises(ValueError):
-        WeightVector(())
+    assert _weights((2, 1, 1)) == (2, 1, 1)
+    assert _weights([1, 1]) == (1, 1)
+    assert _weights(iter([3, True])) == (3, 1)
+    assert all(type(x) is int for x in _weights((2, True)))
+    with pytest.raises(ValueError, match="weights must be positive integers"):
+        _weights((1, 0))
+    with pytest.raises(ValueError, match="weight vector may not be empty"):
+        _weights(())
+    for bad in [(1.5, 1.5, 1, 1), (2.0, 1, 1), ("2", 1, 1), (Fraction(2), 1, 1), (None,)]:
+        with pytest.raises(TypeError):
+            _weights(bad)
+
+
+NON_INTEGRAL_INPUTS = [
+    ("Graph edge", lambda: Graph(4, [(1.5, 3)])),
+    ("Graph vertex count", lambda: Graph(4.7, [(1, 3)])),
+    ("Graph string endpoint", lambda: Graph(4, [("1", 3)])),
+    ("enumerate_noncrossing", lambda: enumerate_noncrossing(4, (1.9, 1, 1, 1))),
+    ("noncrossing_matchings", lambda: noncrossing_matchings(4, [1.2, 2, 3, 4])),
+    ("adjacent_clumps", lambda: adjacent_clumps([1.5, 2])),
+    ("moduli_degree", lambda: moduli_degree((1.5, 1.5, 1, 1))),
+    ("degree_trace", lambda: degree_trace((2, 2, 2, 2.0))),
+    ("is_boundary", lambda: is_boundary((3, "1", 1, 1))),
+    ("stability", lambda: stability(Configuration.from_affine([0, 1, 2, 3]), (1, 1, 1, 1.5))),
+    ("random_stable_configuration", lambda: random_stable_configuration((1, 1, 1.5, 1), seed=0)),
+    ("lift_graph", lambda: lift_graph(Graph(2, [(1, 2)] * 2), (2.0, 2))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NON_INTEGRAL_INPUTS], ids=[i for i, _ in NON_INTEGRAL_INPUTS])
+def test_non_integral_inputs_are_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_graph_json_round_trip():
