@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from graphinv.degree import degree_trace, is_boundary, moduli_degree
 from graphinv.errors import (
     LengthMismatch,
     LoopEdge,
@@ -16,6 +17,7 @@ from graphinv.errors import (
     VertexCountTooSmall,
     VertexOutOfRange,
 )
+from graphinv.evaluation import Configuration, random_stable_configuration, stability
 from graphinv.graphs import (
     Graph,
     _weights,
@@ -29,8 +31,6 @@ from graphinv.graphs import (
     multiply,
     noncrossing_matchings,
 )
-from graphinv.degree import degree_trace, is_boundary, moduli_degree
-from graphinv.evaluation import Configuration, random_stable_configuration, stability
 from graphinv.kempe import lift_graph
 from graphinv.straightening import adjacent_clumps
 
@@ -197,8 +197,8 @@ def test_noncrossing_matchings_sorted_lex():
 def test_weight_vector():
     assert _weights((2, 1, 1)) == (2, 1, 1)
     assert _weights([1, 1]) == (1, 1)
-    assert _weights(iter([3, True])) == (3, 1)
-    assert all(type(x) is int for x in _weights((2, True)))
+    w = _weights(iter([3, True]))
+    assert w == (3, 1) and all(type(x) is int for x in w)
     with pytest.raises(ValueError, match="weights must be positive integers"):
         _weights((1, 0))
     with pytest.raises(ValueError, match="weight vector may not be empty"):
