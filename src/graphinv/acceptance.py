@@ -237,7 +237,7 @@ def check_odd_power_identification(base_seed: int):
     if b.is_zero:
         failures.append("odd-power reduction vanished")
     key = next(iter(a.terms), None)
-    ratio = b.terms.get(key, Fraction(0)) / a.terms[key] if key is not None else None
+    ratio = Fraction(b.terms.get(key, 0), a.terms[key]) if key is not None else None
     if ratio is None or b != ratio * a:
         failures.append("reductions are not proportional")
     return not failures, "; ".join(failures) or f"odd-power(6,3) = {ratio} * segre_cubic(6) after reduction"

@@ -54,6 +54,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     return w
 
 
+def _vertex_count(n: int) -> int:
+    """The --n of relations, basis and check-ideal, which must be positive."""
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--n must be a positive vertex count, got {n}")
+    return n
+
+
 def _read_json(path: str):
     source = "standard input" if path == "-" else path
     try:
@@ -119,11 +126,12 @@ def _cmd_straighten(args):
 
 
 def _cmd_basis(args):
-    w = args.weights if args.weights else (1,) * args.n
-    if len(w) != args.n:
-        raise argparse.ArgumentTypeError(f"{len(w)} weights for --n {args.n}")
-    basis = enumerate_noncrossing(args.n, w)
-    inputs = {"n": args.n, "weights": list(w)}
+    n = _vertex_count(args.n)
+    w = args.weights if args.weights else (1,) * n
+    if len(w) != n:
+        raise argparse.ArgumentTypeError(f"{len(w)} weights for --n {n}")
+    basis = enumerate_noncrossing(n, w)
+    inputs = {"n": n, "weights": list(w)}
     outputs = {"count": len(basis), "graphs": [graph_to_json(g) for g in basis]}
     return inputs, outputs, [], lambda: [_fmt_graph(g) for g in basis], 0
 
@@ -137,7 +145,7 @@ def _cmd_kempe(args):
 
 
 def _cmd_relations(args):
-    n = args.n
+    n = _vertex_count(args.n)
     inputs = {"n": n, "type": args.type}
     to_json, fmt = polynomial_to_json, _fmt_polynomial
     if args.type == "plucker":
@@ -159,6 +167,7 @@ def _cmd_relations(args):
 
 
 def _cmd_check_ideal(args):
+    _vertex_count(args.n)
     if args.candidate == "segre":
         cand = segre_cubic(args.n)
     else:

@@ -123,21 +123,22 @@ def evaluate_combination(comb, c: Configuration) -> Fraction:
 
 
 def stability(c: Configuration, w) -> Stability:
-    """Classify by the largest total weight carried by coinciding points."""
+    """Classify by the largest total weight carried by coinciding points.
+
+    Points coincide when their integer pairs (U, V) have the same ratio, so
+    the weight is summed per ratio reduced to lowest terms with V > 0, or
+    V = 0 and U = 1 for the point at infinity: one pass over the points."""
     w = _weights(w)
     if len(w) != c.n:
         raise LengthMismatch(f"{len(w)} weights for {c.n} points")
-    reps: list[int] = []
-    class_weight: list[int] = []
-    for i in range(1, c.n + 1):
-        for k, r in enumerate(reps):
-            if c.coincide(i, r):
-                class_weight[k] += w[i - 1]
-                break
-        else:
-            reps.append(i)
-            class_weight.append(w[i - 1])
-    m, total = max(class_weight), sum(w)
+    class_weight: dict[tuple[int, int], int] = {}
+    for (u, v, _), x in zip(c._scaled, w):
+        g = math.gcd(u, v)
+        if v < 0 or not v and u < 0:
+            g = -g
+        ratio = u // g, v // g
+        class_weight[ratio] = class_weight.get(ratio, 0) + x
+    m, total = max(class_weight.values()), sum(w)
     if 2 * m < total:
         return Stability.STABLE
     if 2 * m == total:

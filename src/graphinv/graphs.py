@@ -238,7 +238,9 @@ def _weights(w: Iterable[int]) -> tuple[int, ...]:
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[t, h] for t, h in g.edges]}
+    """{"n": n, "edges": edges}, with the graph's own edge tuple: the JSON
+    text is that of [[tail, head], ...]."""
+    return {"n": g.n, "edges": g.edges}
 
 
 def _is_int(x) -> bool:
@@ -271,6 +273,16 @@ def _terms_document(obj, keys: tuple[str, str]) -> tuple[int, list[dict]]:
     return obj["n"], obj["terms"]
 
 
+def _exact(v) -> int | Fraction:
+    """v as an exact number: an int when integral, else a Fraction."""
+    if type(v) is not int:
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
+
+
 def _coefficient(x) -> Fraction:
     """A JSON coefficient: an integer, a finite number, or a rational
     literal such as "-3/2"; anything else raises MalformedInput."""
@@ -288,9 +300,11 @@ class Combination:
     The one core behind GraphCombination and GraphPolynomial: keys are
     canonicalized on construction (folding signs into the coefficients),
     equal keys merge, zero coefficients are dropped, and terms iterate in
-    the subclass's order.  The zero combination keeps whatever degree it
-    was built with, or None when nothing pinned one down.  A subclass
-    supplies
+    the subclass's order.  A coefficient is an int when integral and a
+    Fraction otherwise, so the ratio of two is Fraction(a, b), not a / b,
+    which would be a float for two ints.  The zero combination keeps
+    whatever degree it was built with, or None when nothing pinned one
+    down.  A subclass supplies
 
         _canonical_key(n, key) -> (canonical key, sign, degree), which also
             validates key;
@@ -307,7 +321,7 @@ class Combination:
             terms = terms.items()
         pairs = []
         for key, coeff in terms or ():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if not coeff:
                 continue
             key, sign, d = self._canonical_key(n, key)
@@ -332,7 +346,7 @@ class Combination:
         for key, coeff in pairs:
             acc[key] = acc.get(key, 0) + coeff
         self.n, self.degree = n, degree
-        self.terms = {k: Fraction(acc[k]) for k in sorted(acc, key=self._order) if acc[k]}
+        self.terms = {k: v if type(v) is int else _exact(v) for k in sorted(acc, key=self._order) if (v := acc[k])}
 
     @classmethod
     def zero(cls, n: int, degree=None):
@@ -356,7 +370,7 @@ class Combination:
         return self + (-1) * other
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return self._of(self.n, ((k, scalar * c) for k, c in self.terms.items()), self.degree)
 
     def __neg__(self):

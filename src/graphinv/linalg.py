@@ -21,18 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
+from .graphs import _exact
 
 _ZERO = Fraction(0)
-
-
-def _exact(v) -> int | Fraction:
-    """v as an exact number: an int when integral, else a Fraction."""
-    if type(v) is not int:
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        if v.denominator == 1:
-            return v.numerator
-    return v
 
 
 def _sparse(items: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:

@@ -30,6 +30,7 @@ from .graphs import (
     Combination,
     Graph,
     _coefficient,
+    _exact,
     _terms_document,
     canonicalize,
     enumerate_matchings,
@@ -292,8 +293,6 @@ def _reduced_terms(p: GraphPolynomial) -> dict[tuple, int | Fraction]:
     factor edge tuples: nonzero coefficient}, in no particular order."""
     acc: dict[tuple, int | Fraction] = {}
     for mono, coeff in p.terms.items():
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # the product loop below then runs on int
         for combo in itertools.product(*(_variable(f).items() for f in mono)):
             c = coeff
             for _, k in combo:
@@ -397,7 +396,7 @@ def ideal_membership(
     x = in_span(target, RationalMatrix.from_columns(columns, height=len(index)))
     if x is None:
         return (False, None)
-    used = [(*provenance[t], x[t]) for t in range(len(x)) if x[t]]
+    used = [(*provenance[t], _exact(x[t])) for t in range(len(x)) if x[t]]
 
     # den * candidate = sum (den * coeff) * cofactor * generator, with every
     # den * coeff an int

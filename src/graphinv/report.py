@@ -9,9 +9,9 @@ a larger module raises the peak memory of that compile.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 _escape = json.encoder.encode_basestring_ascii
-_compact = json.JSONEncoder(separators=(",", ":")).encode  # indent None: the C encoder
 _LEAF = {
     str: _escape,
     int: int.__repr__,
@@ -19,6 +19,7 @@ _LEAF = {
     type(None): lambda v: "null",
 }
 _BATCH = 64  # values per column step, which bounds the text held at once
+_ROWS: dict[str, dict[tuple, str]] = {}  # indent -> {row of ints: its text}, emptied as dumps returns
 
 
 def dumps(value, indent: str = "") -> str:
@@ -33,14 +34,13 @@ def dumps(value, indent: str = "") -> str:
       C-level helpers, one call per leaf.
     - A column of dicts with the same keys is laid out key by key, each
       key's values as one column, then joined with one ``%`` template.
-    - A column of lists is first tried as a batch of lists of scalar lists
-      (edge lists): one compact C-encoder call for the batch, a few
-      ``str.replace`` passes to the indent-2 layout, and a split per list.
-      The batch is taken only if its text has no ``"``, ``{`` or ``[]`` and
-      no bracket is left once the separators are removed, which proves
-      every list has that shape.  Otherwise the column falls back to the
-      generic walk: the items of its lists become the next column, so the
-      result is exact for any value.
+    - A column of tuples whose rows are all non-empty tuples of exact
+      ints (the library's edge tuples) is laid out row by row, each
+      distinct row's text made once per indent and kept in ``_ROWS`` until
+      the call returns: a report holds few distinct edges, each many
+      times.  Any other column of lists and tuples takes the generic
+      walk: the items of its lists become the next column, so the result
+      is exact for any value.
     - Anything else is laid out on its own.  A value the column layout
       cannot take (a dict with a key that is not a str, a leaf of another
       type) is ``json.dumps(v, indent=2, sort_keys=True)`` re-indented,
@@ -57,6 +57,8 @@ def dumps(value, indent: str = "") -> str:
         return _column([value], indent)[0]
     except RecursionError:
         return _walk(value, indent)
+    finally:
+        _ROWS.clear()
 
 
 def _walk(value, indent: str) -> str:
@@ -131,11 +133,9 @@ def _dicts(values: list, keys: list, indent: str) -> list[str]:
 
 def _lists(values: list, indent: str) -> list[str]:
     """The layout of lists and tuples."""
-    row = values[0][0] if values[0] else None
-    if isinstance(row, (list, tuple)) and row and not isinstance(row[0], (str, dict, list, tuple)):
-        out = _edge_lists(values, indent)
-        if out is not None:
-            return out
+    out = _rows(values, indent)
+    if out is not None:
+        return out
     inner = indent + "  "
     sep = ",\n" + inner
     items = _column([x for v in values for x in v], inner)
@@ -146,23 +146,19 @@ def _lists(values: list, indent: str) -> list[str]:
     return out
 
 
-def _edge_lists(values: list, indent: str) -> list[str] | None:
-    """The layout of lists that are all non-empty lists of non-empty scalar
-    lists, such as edge lists, from one compact C encoding; None if any
-    list has another shape."""
-    try:
-        text = _compact(values)
-    except (TypeError, ValueError):
+def _rows(values: list, indent: str) -> list[str] | None:
+    """The layout of tuples whose rows are all non-empty tuples of ints,
+    such as edge tuples, each row's text taken from _ROWS; None if any
+    value has another shape.  The type checks are exact, so a row holding
+    True is never taken for one holding 1, which compares equal."""
+    if {*map(type, values)} != {tuple}:
         return None
-    if not (text.startswith("[[[") and text.endswith("]]]")) or '"' in text or "{" in text or "[]" in text:
-        return None
-    # Two lists meet at "]],[[", two rows of a list at "],[".  With the
-    # first marked, only the second may hold a bracket.
-    body = text[3:-3].replace("]],[[", "|")
-    rows = body.count("],[")
-    if body.count("[") != rows or body.count("]") != rows:
+    rows = [*chain.from_iterable(values)]
+    if {*map(type, rows)} != {tuple} or not all(rows) or {*map(type, chain.from_iterable(rows))} != {int}:
         return None
     inner, leaf = indent + "  ", indent + "    "
-    body = body.replace(",", ",\n" + leaf).replace("],\n" + leaf + "[", "\n" + inner + "],\n" + inner + "[\n" + leaf)
-    head, tail = "[\n" + inner + "[\n" + leaf, "\n" + inner + "]\n" + indent + "]"
-    return (head + body.replace("|", tail + "|" + head) + tail).split("|")
+    cache = _ROWS.setdefault(inner, {})
+    for r in {*rows} - cache.keys():
+        cache[r] = "[\n" + leaf + (",\n" + leaf).join(map(int.__repr__, r)) + "\n" + inner + "]"
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+    return [head + sep.join(map(cache.__getitem__, v)) + tail if v else "[]" for v in values]

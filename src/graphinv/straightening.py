@@ -227,7 +227,7 @@ def _normal_form(g: Graph) -> dict[tuple, int]:
     assert all(
         _chord_length(g.n, h.edges) < _chord_length(g.n, g.edges) - 1e-9 for h in step
     ), "an exchange must shorten the chords"
-    return _expand(g.n, {h.edges: int(k) for h, k in step.items()})
+    return _expand(g.n, {h.edges: k for h, k in step.items()})
 
 
 def _combination(n: int, degree, pairs: Iterable[tuple[tuple, object]]) -> GraphCombination:
@@ -288,7 +288,7 @@ def combination_to_json(c: GraphCombination) -> dict:
         "n": c.n,
         "degree": list(c.degree) if c.degree is not None else None,
         "terms": [
-            {"coeff": str(coeff), "edges": [[t, h] for t, h in g.edges]}
+            {"coeff": str(coeff), "edges": g.edges}
             for g, coeff in c.terms.items()
         ],
     }

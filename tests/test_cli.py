@@ -160,6 +160,21 @@ def test_relations_bad_exponent(capsys):
     assert err.startswith("error: BadExponent:")
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "-2"])
+@pytest.mark.parametrize("command", [
+    ["relations", "--type", "plucker"],
+    ["relations", "--type", "odd-power"],
+    ["basis"],
+    ["basis", "--weights", "1,1"],
+    ["check-ideal", "--candidate", "segre"],
+])
+def test_vertex_count_must_be_positive(capsys, command, n):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, *command, "--n", n, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: --n must be a positive vertex count, got {n}\n"
+
+
 def test_basis_default_weights(capsys):
     code, out, _ = run(capsys, "basis", "--n", "6")
     assert code == 0

@@ -17,7 +17,14 @@ import graphinv.evaluation
 import graphinv.relations
 from graphinv.chart import chart_coordinates
 from graphinv.errors import LengthMismatch
-from graphinv.evaluation import Configuration, evaluate, evaluate_combination, random_stable_configuration
+from graphinv.evaluation import (
+    Configuration,
+    Stability,
+    evaluate,
+    evaluate_combination,
+    random_stable_configuration,
+    stability,
+)
 from graphinv.graphs import Graph, enumerate_matchings, noncrossing_matchings
 from graphinv.relations import (
     GraphPolynomial,
@@ -29,7 +36,7 @@ from graphinv.relations import (
 )
 from graphinv.straightening import straighten_graph
 
-from evaluation_reference import evaluate_reference
+from evaluation_reference import evaluate_reference, stability_reference
 
 BIG = 10**40
 
@@ -212,3 +219,27 @@ def test_random_stable_configuration_points_are_unchanged():
             assert c.points == tuple((Fraction(x), Fraction(1)) for x in xs)
             assert all(type(u) is Fraction and type(v) is Fraction for u, v in c.points)
             assert c == Configuration([(Fraction(x), Fraction(1)) for x in xs])
+
+
+def rescaled(rng, p):
+    """p times a nonzero rational, negative ones included."""
+    lam = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 2, 9]))
+    return (Fraction(p[0]) * lam, Fraction(p[1]) * lam)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_stability_matches_the_pairwise_loop(kind):
+    # a few base points, each repeated rescaled, so classes of every size
+    # meet; the zero point and the point at infinity among them
+    rng = random.Random(f"stability:{kind}")
+    seen = set()
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        base = random_points(rng, rng.randint(1, 4), kind) + [(0, rng.choice([-3, 1])), (rng.choice([-2, 5]), 0)]
+        pts = [rescaled(rng, rng.choice(base)) for _ in range(n)]
+        w = [rng.randint(1, 4) for _ in range(n)]
+        c = Configuration(pts)
+        got = stability(c, w)
+        assert got is stability_reference(c, w)
+        seen.add(got)
+    assert seen == set(Stability)

@@ -233,7 +233,8 @@ def test_non_integral_inputs_are_refused_not_truncated(call):
 def test_graph_json_round_trip():
     g = Graph(5, [(2, 1), (3, 5)])
     assert graph_from_json(graph_to_json(g)) == g
-    assert graph_to_json(g) == {"n": 5, "edges": [[2, 1], [3, 5]]}
+    assert graph_to_json(g) == {"n": 5, "edges": ((2, 1), (3, 5))}
+    assert graph_to_json(g)["edges"] is g.edges
 
 
 def test_graph_rejects_bad_vertices():

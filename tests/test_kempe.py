@@ -292,5 +292,5 @@ def test_matching_product_json():
     j = matching_product_to_json(p)
     assert j == {
         "coeff": "-3/2",
-        "factors": [{"n": 4, "edges": [[1, 3], [2, 4]]}, {"n": 4, "edges": [[1, 3], [2, 4]]}],
+        "factors": [{"n": 4, "edges": ((1, 3), (2, 4))}, {"n": 4, "edges": ((1, 3), (2, 4))}],
     }

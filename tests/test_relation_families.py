@@ -42,7 +42,7 @@ def key_fields(key):
 
 def term_list(c):
     for coeff in c.terms.values():
-        assert type(coeff) is Fraction
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
     return [(key_fields(k), coeff) for k, coeff in c.terms.items()]
 
 

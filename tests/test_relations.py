@@ -192,7 +192,7 @@ def test_odd_power_is_segre_up_to_scalar():
     r_odd = reduce_to_noncrossing_vars(odd_power_relation(6, base, 3))
     r_seg = reduce_to_noncrossing_vars(segre_cubic(6))
     mono = next(iter(r_seg.terms))
-    ratio = r_odd.terms[mono] / r_seg.terms[mono]
+    ratio = Fraction(r_odd.terms[mono], r_seg.terms[mono])
     assert ratio == 288
     assert r_odd == ratio * r_seg
 

@@ -62,7 +62,7 @@ def test_reduction_matches_reference_on_seeded_polynomials():
         assert fast == slow
         assert list(fast.terms.items()) == list(slow.terms.items())
         assert fast.degree == slow.degree
-        assert all(type(c) is Fraction for c in fast.terms.values())
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in fast.terms.values())
 
 
 def random_member(rng, generators, matchings, size=4):
@@ -84,8 +84,14 @@ def random_member(rng, generators, matchings, size=4):
 
 
 def assert_membership_matches(candidate, generators, k):
+    """ideal_membership agrees with the reference by repr, with each
+    certificate coefficient an int when integral and a Fraction otherwise
+    (the reference's are all Fractions)."""
     fast = ideal_membership(candidate, generators, k)
-    assert repr(fast) == repr(ref.ideal_membership_reference(candidate, generators, k))
+    member, cert = ref.ideal_membership_reference(candidate, generators, k)
+    if cert is not None:
+        cert = [(gi, cof, c.numerator if c.denominator == 1 else c) for gi, cof, c in cert]
+    assert repr(fast) == repr((member, cert))
     return fast
 
 
@@ -93,6 +99,14 @@ def assert_membership_matches(candidate, generators, k):
 def test_membership_of_segre_matches_reference(n):
     member, cert = assert_membership_matches(segre_cubic(n), simple_binomial_relations(n), 3)
     assert member == (n == 8)
+
+
+def test_segre_certificate_is_int_where_integral():
+    member, cert = ideal_membership(segre_cubic(8), simple_binomial_relations(8), 3)
+    coeffs = [c for _, _, c in cert]
+    assert member and len(coeffs) == 84
+    assert {c.denominator for c in coeffs} == {1, 3}
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in coeffs)
 
 
 def test_membership_of_seeded_candidates_matches_reference():

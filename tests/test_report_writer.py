@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -152,60 +153,117 @@ def test_deep_layout_matches_json_dumps(value, indent):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Record whether each batch of lists took the batch path (True) or
-    fell back to the generic walk (False)."""
-    batch = report._edge_lists
-    taken = []
+    """Record each column of lists and tuples offered to the row path, with
+    whether it took it (True) or fell back to the generic walk (False)."""
+    rows = report._rows
+    seen = []
 
     def spy(values, indent):
-        out = batch(values, indent)
-        taken.append(out is not None)
+        out = rows(values, indent)
+        seen.append((values, out is not None))
         return out
 
-    monkeypatch.setattr(report, "_edge_lists", spy)
-    return taken
+    monkeypatch.setattr(report, "_rows", spy)
+    return seen
 
 
-def edge_list(rng, n, m):
-    return [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(m)]
+def edge_tuple(rng, n, m):
+    return tuple(tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(m))
+
+
+def verdicts(batches, column):
+    """Whether each offer of exactly this column took the row path."""
+    return [taken for values, taken in batches if values == list(column)]
 
 
 def test_writer_batches_more_edge_lists_than_one_batch_holds(batches):
     rng = random.Random(3)
     count = 2 * report._BATCH + 5
-    value = {"terms": [{"coeff": str(k - 7), "edges": edge_list(rng, 12, rng.randint(1, 9))} for k in range(count)]}
+    value = {"terms": [{"coeff": str(k - 7), "edges": edge_tuple(rng, 12, rng.randint(1, 9))} for k in range(count)]}
     assert cli._dumps(value) == reference(value)
-    assert batches == [True] * 3  # 64 + 64 + 5 edge lists
+    # the list of terms, then 64 + 64 + 5 edge tuples
+    assert [(len(values), taken) for values, taken in batches] == [(1, False), (64, True), (64, True), (5, True)]
+
+
+class Edge(NamedTuple):
+    tail: int
+    head: int
 
 
 @pytest.mark.parametrize("odd", [
-    [[[1, 2]], [[3, 4]]],  # three deep
-    [[1, "2"]],  # a row holding a string
-    [[1, 2], {}],
-    [[1, 2], []],
-    [[1, 2], [{"a": 1}]],
-    [],
-    [[1, 2], 3],
-    [1, 2],  # scalars, not rows
+    (((1, 2),), ((3, 4),)),  # three deep
+    ((1, "2"),),  # a row holding a string
+    ((True, 2),),  # a row holding a bool
+    ((1, 2.0),),  # a row holding a float
+    ((1, 2), Edge(3, 4)),  # a NamedTuple row
+    ((1, 2), [3, 4]),  # a list row
+    ((1, 2), {}),
+    ((1, 2), ()),  # an empty row
+    ((1, 2), ({"a": 1},)),
+    [(1, 2)],  # a list of rows
+    ((1, 2), 3),
+    (1, 2),  # scalars, not rows
 ])
 def test_writer_falls_back_inside_one_indent_group(batches, odd):
     rng = random.Random(5)
-    terms = [{"coeff": "1", "edges": edge_list(rng, 8, 4)} for _ in range(5)]
+    terms = [{"coeff": "1", "edges": edge_tuple(rng, 8, 4)} for _ in range(5)]
     terms.insert(2, {"coeff": "-1", "edges": odd})
-    value = {"outputs": {"terms": terms}, "odd": [odd, [[1, 2]]]}
+    value = {"outputs": {"terms": terms}, "odd": [odd, ((1, 2),)]}
     assert cli._dumps(value) == reference(value)
-    assert False in batches
+    assert verdicts(batches, [t["edges"] for t in terms]) == [False]
 
 
 def test_writer_on_tuple_rows_and_special_scalars(batches):
-    specials = [True, False, None, float("nan"), float("inf"), float("-inf"), 1e300, -0.0, 2 ** 70, -(2 ** 70)]
+    specials = [True, False, None, float("nan"), float("inf"), float("-inf"), 1e300, -0.0]
     value = {
-        "tuples": [[(1, 2), (3, 4)], ((5, 6),), ([7, 8], (9, 10))],
-        "special": [[[x, x] for x in specials], [specials]],
-        "flat": [specials, tuple(specials)],  # scalar lists take the generic walk
+        # rows of length 1, 2 and 3, huge and negative entries
+        "ints": [((1, 2), (2 ** 70, -3)), ((-(2 ** 70), 0), (1, 2)), ((5,), (1, 2, 3), (-1,))],
+        # (True, 2) == (1, 2): the row of 1 is cached at this indent first
+        "mixed": [((1, 2),), ((True, 2), (1, 2)), ((1, 2), (False, 0))],
+        "named": [((1, 2),), (Edge(1, 2),)],
+        "empty": [((1, 2),), ((),)],
+        "special": [((x, x),) for x in specials],
+        "lists": [[(1, 2)], [(3, 4), (1, 2)]],
     }
     assert cli._dumps(value) == reference(value)
-    assert batches and all(batches)
+    assert {key: verdicts(batches, column) for key, column in value.items()} == {
+        "ints": [True], "mixed": [False], "named": [False], "empty": [False], "special": [False], "lists": [False],
+    }
+
+
+def test_row_cache_lives_for_one_call(monkeypatch):
+    rows = report._rows
+    sizes = []
+
+    def spy(values, indent):
+        out = rows(values, indent)
+        sizes.append(sum(map(len, report._ROWS.values())))
+        return out
+
+    monkeypatch.setattr(report, "_rows", spy)
+    rng = random.Random(11)
+    value = {"a": [edge_tuple(rng, 6, 5) for _ in range(200)], "b": {"c": [((1, 2), (2, 3))]}}
+    assert cli._dumps(value) == reference(value)
+    distinct = {row for edges in value["a"] for row in edges}
+    assert max(sizes) == len(distinct) + 2  # (1, 2) and (2, 3) once more, one indent deeper
+    assert report._ROWS == {}
+    deep = {1: {"leaf": 1}}
+    for _ in range(2000):
+        deep = {1: deep}
+    with pytest.raises(RecursionError):  # json.dumps cannot go this deep
+        cli._dumps({"a": [((1, 2),)], "b": deep})
+    assert report._ROWS == {}
+
+
+int_rows = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+some_rows = st.one_of(int_rows, int_rows, st.lists(st.one_of(st.booleans(), st.integers(0, 2)), max_size=2).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(["edges", "more"]), st.lists(some_rows, max_size=4).map(tuple)), max_size=5))
+def test_writer_on_generated_rows(value):
+    # small entries and bools, so rows that compare equal recur across one report
+    assert cli._dumps(value) == reference(value)
 
 
 def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
