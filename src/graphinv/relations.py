@@ -325,14 +325,14 @@ def ideal_membership(
     candidate: GraphPolynomial,
     generators: Sequence[GraphPolynomial],
     k: int,
-) -> tuple[bool, list[tuple[int, tuple[Graph, ...], Fraction]] | None]:
+) -> tuple[bool, list[tuple[int, tuple[Graph, ...], int | Fraction]] | None]:
     """Decide degree-k membership in the homogeneous ideal of the generators.
 
     Everything is first pushed into the polynomial ring on non-crossing
     matching variables; the degree-k slice of the ideal there is spanned by
     cofactor-monomial times reduced-generator products.  Returns (member,
     certificate); the certificate lists (generator index, cofactor monomial,
-    coefficient) triples with
+    coefficient) triples, each coefficient an int when integral, with
         candidate = sum coeff * cofactor * generator
     as reduced polynomials, re-verified exactly before returning."""
     if k < 0:
