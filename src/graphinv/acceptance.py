@@ -14,7 +14,16 @@ from fractions import Fraction
 
 from .chart import alternative_good_matchings, chart_coordinates, verify_chart
 from .degree import moduli_degree
-from .evaluation import Configuration, evaluate, evaluate_combination, random_stable_configuration
+from .evaluation import (
+    Configuration,
+    _bracket,
+    _combination_ratio,
+    _fraction,
+    _ratio_sum,
+    evaluate,
+    evaluate_combination,
+    random_stable_configuration,
+)
 from .graphs import Graph, enumerate_noncrossing, noncrossing_matchings
 from .kempe import kempe_decompose
 from .linalg import RationalMatrix, rank
@@ -152,13 +161,11 @@ def _random_regular_graph(rng: random.Random) -> Graph:
 
 
 def _eval_products(products, c: Configuration) -> Fraction:
-    total = Fraction(0)
-    for p in products:
-        v = p.coeff
-        for f in p.factors:
-            v *= evaluate(f, c)
-        total += v
-    return total
+    """Sum of coeff times the product of factor evaluations; a product's
+    factors are evaluated together as one edge list."""
+    pts = c._scaled
+    terms = ((p.coeff, *_bracket([e for f in p.factors for e in f.edges], pts)) for p in products)
+    return _fraction(*_ratio_sum(terms))
 
 
 def check_oracle_property_suites(base_seed: int):
@@ -282,6 +289,18 @@ def check_chart_identities(base_seed: int):
     )
 
 
+def _clumped_terms(images, c: Configuration):
+    """(coeff, num, den) per clumped monomial: the product of its factors'
+    combination values."""
+    for coeff, clumped in images:
+        num = den = 1
+        for f in clumped:
+            fn, fd = _combination_ratio(f, c)
+            num *= fn
+            den *= fd
+        yield coeff, num, den
+
+
 def check_clump_reduction(base_seed: int):
     failures: list[str] = []
     basis6 = noncrossing_matchings(6)
@@ -317,13 +336,7 @@ def check_clump_reduction(base_seed: int):
             if not images:
                 continue
             for c in configs:
-                total = Fraction(0)
-                for coeff, clumped in images:
-                    v = coeff
-                    for f in clumped:
-                        v *= evaluate_combination(f, c)
-                    total += v
-                if total != 0:
+                if _ratio_sum(_clumped_terms(images, c))[0]:
                     failures.append(f"clumped binomial is not a relation for weights {w8}")
                     break
             if failures:

@@ -18,6 +18,12 @@ identity s_1j*s_i,2m = s_1i*s_j,2m + s_1,2m*s_ij then gives
 
 exactly, which verify_chart checks entrywise together with the vanishing of
 all 2x2 minors of W.
+
+One integer pass (_entries) evaluates the three edge lists of each entry
+with the evaluation kernel _bracket, without building a Graph, and keeps
+each entry as (num_W, den_W, num_Z, den_Z).  verify_chart decides the
+minors and the Z-identity on those integers by cross-multiplication;
+ChartPoint's Fractions are built once, for the report.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import NotInChart, OddVertexCount, VertexCountTooSmall
-from .evaluation import Configuration, evaluate
-from .graphs import Graph
+from .evaluation import Configuration, _bracket
 
 
 def good_matching(n: int, i: int, j: int) -> list[tuple[int, int]]:
@@ -60,8 +65,8 @@ class ChartPoint:
 
     def __init__(self, m: int, W, Z):
         self.m = m
-        self.W = tuple(tuple(Fraction(x) for x in row) for row in W)
-        self.Z = tuple(tuple(Fraction(x) for x in row) for row in Z)
+        self.W = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in W)
+        self.Z = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in Z)
 
     def row_indices(self) -> range:
         return range(2, self.m + 1)
@@ -80,40 +85,51 @@ class ChartPoint:
 
 
 def _check_in_chart(c: Configuration) -> None:
-    m = len(c.points) // 2
+    m = c.n // 2
     for a in range(1, m + 1):
         for b in range(m + 1, 2 * m + 1):
             if c.coincide(a, b):
                 raise NotInChart(f"points {a} and {b} coincide across the block split")
 
 
-def chart_coordinates(c: Configuration) -> ChartPoint:
-    """Evaluate the W and Z ratios at c.  Requires an even number of
-    points, at least 4, with the two blocks disjoint."""
-    n = len(c.points)
+def _entries(c: Configuration) -> tuple[int, list[list[tuple[int, int, int, int]]]]:
+    """m and, per entry (i, j) at [i - 2][j - m - 1], the integers
+    (num_W, den_W, num_Z, den_Z) with W_ij = num_W / den_W and
+    Z_ij = num_Z / den_Z; both denominators are nonzero.  Requires an even
+    number of points, at least 4, with the two blocks disjoint."""
+    n = c.n
     if n % 2:
         raise OddVertexCount(f"chart needs an even number of points, got {n}")
     if n < 4:
         raise VertexCountTooSmall(f"chart needs at least 4 points, got {n}")
     m = n // 2
     _check_in_chart(c)
-    W = []
-    Z = []
+    pts = c._scaled
+    rows = []
     for i in range(2, m + 1):
-        wrow = []
-        zrow = []
+        row = []
         for j in range(m + 1, 2 * m):
             g = good_matching(n, i, j)
-            num_w = evaluate(Graph(n, [(1, i), (j, 2 * m)] + g), c)
-            den_w = evaluate(Graph(n, [(1, j), (i, 2 * m)] + g), c)
-            den_z = evaluate(Graph(n, [(1, 2 * m), (j, i)] + g), c)
+            an, ad = _bracket([(1, i), (j, n)] + g, pts)
+            bn, bd = _bracket([(1, j), (i, n)] + g, pts)
+            cn, cd = _bracket([(1, n), (j, i)] + g, pts)
             # in the chart both denominators are products of good edges
-            assert den_w != 0 and den_z != 0
-            wrow.append(num_w / den_w)
-            zrow.append(den_w / den_z)
-        W.append(wrow)
-        Z.append(zrow)
+            assert bn and cn
+            row.append((an * bd, ad * bn, bn * cd, bd * cn))
+        rows.append(row)
+    return m, rows
+
+
+def _point(m: int, rows) -> ChartPoint:
+    W = [[Fraction(wn, wd) for wn, wd, _, _ in row] for row in rows]
+    Z = [[Fraction(zn, zd) for _, _, zn, zd in row] for row in rows]
     return ChartPoint(m, W, Z)
+
+
+def chart_coordinates(c: Configuration) -> ChartPoint:
+    """Evaluate the W and Z ratios at c.  Requires an even number of
+    points, at least 4, with the two blocks disjoint."""
+    return _point(*_entries(c))
 
 
 class ChartReport:
@@ -146,29 +162,35 @@ class ChartReport:
 def verify_chart(c: Configuration) -> ChartReport:
     """Check, exactly, that W has rank at most 1 and that Z is the
     entrywise inverse of W - 1.  Returns a truthy per-entry report."""
-    pt = chart_coordinates(c)
-    m = pt.m
+    m, rows = _entries(c)
+    return ChartReport(_point(m, rows), *_decide(m, rows))
+
+
+def _decide(m: int, rows) -> tuple[list, dict]:
+    """The minor failures and entry statuses of verify_chart, on _entries'
+    integers: a/b == c/d iff a*d == b*c for nonzero b and d."""
     minor_failures = []
-    rows = list(pt.row_indices())
-    cols = list(pt.col_indices())
-    for i1, i2 in combinations(rows, 2):
-        for j1, j2 in combinations(cols, 2):
-            det = pt.w_entry(i1, j1) * pt.w_entry(i2, j2) - pt.w_entry(i1, j2) * pt.w_entry(i2, j1)
-            if det != 0:
+    for (r1, i1), (r2, i2) in combinations(enumerate(range(2, m + 1)), 2):
+        for (k1, j1), (k2, j2) in combinations(enumerate(range(m + 1, 2 * m)), 2):
+            n11, d11 = rows[r1][k1][:2]
+            n22, d22 = rows[r2][k2][:2]
+            n12, d12 = rows[r1][k2][:2]
+            n21, d21 = rows[r2][k1][:2]
+            if n11 * n22 * d12 * d21 != n12 * n21 * d11 * d22:
                 minor_failures.append((i1, i2, j1, j2))
     entry_status = {}
-    for i in rows:
-        for j in cols:
-            w = pt.w_entry(i, j)
-            if w == 1:
+    for r, i in enumerate(range(2, m + 1)):
+        for k, j in enumerate(range(m + 1, 2 * m)):
+            wn, wd, zn, zd = rows[r][k]
+            if wn == wd:
                 # unreachable for configurations in the chart; kept so a
                 # report never divides by zero conceptually
                 entry_status[(i, j)] = "skipped"
-            elif pt.z_entry(i, j) * (w - 1) == 1:
+            elif zn * (wn - wd) == zd * wd:
                 entry_status[(i, j)] = "ok"
             else:
                 entry_status[(i, j)] = "failed"
-    return ChartReport(pt, minor_failures, entry_status)
+    return minor_failures, entry_status
 
 
 def chart_point_to_json(pt: ChartPoint) -> dict:

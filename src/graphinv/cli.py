@@ -368,6 +368,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DIGIT_LIMIT_TEXT = "has more decimal digits than the interpreter's int-to-str limit"
+
+
+def _over_digit_limit(exc: ValueError) -> bool:
+    """True for the error int <-> str conversion raises past the
+    interpreter's digit limit (sys.get_int_max_str_digits)."""
+    return "integer string conversion" in str(exc)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -389,6 +398,11 @@ def main(argv=None) -> int:
     except RecursionError:
         print(f"error: the {args.command} computation is nested too deeply", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        print(f"error: a number in the {args.command} input or result {_DIGIT_LIMIT_TEXT}", file=sys.stderr)
+        return 2
     try:
         if args.format == "json":
             text = None  # release what the closure holds (for plucker, every relation) before the layout
@@ -406,6 +420,11 @@ def main(argv=None) -> int:
             payload = "\n".join(lines) + "\n" if lines else ""
     except RecursionError:
         print(f"error: the {args.command} report is nested too deeply to write", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        print(f"error: a number in the {args.command} report {_DIGIT_LIMIT_TEXT}", file=sys.stderr)
         return 2
     if args.out:
         try:

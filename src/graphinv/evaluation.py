@@ -6,17 +6,23 @@ u_head*v_tail - u_tail*v_head, and a combination evaluates linearly.
 Everything here is exact; this module is the oracle the rest of the
 library is tested against.
 
-A Configuration keeps its points as Fractions, and alongside each point
-the integer pair (U, V) = s*(u, v) with s the lcm of the two
-denominators.  evaluate multiplies the integer brackets U_h*V_t - U_t*V_h
-and the scales s_t*s_h, and builds one Fraction per call from the two
-products; results are Fractions.
+A Configuration keeps, per point, only the integer triple (U, V, s): s is
+the lcm of the denominators of u and v and (U, V) = s*(u, v).  Its points
+property rebuilds the (u, v) Fraction pairs on demand.  One kernel,
+_bracket, multiplies the integer brackets U_h*V_t - U_t*V_h and the scales
+s_t*s_h over any edge list and returns the two products as (num, den).
+evaluate wraps it in one Fraction per call.  evaluate_combination, and the
+callers in relations, acceptance and chart that decide in integers, sum
+coeff*num/den with _ratio_sum on a common denominator and build at most
+one Fraction at the end.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -26,6 +32,9 @@ from .graphs import Graph, _weights
 
 INFINITY_TOKENS = ("inf", "infinity", "oo")
 
+# a decimal exponent at the end of a rational literal, as Fraction reads it
+_EXPONENT = re.compile(r"(.*)[eE]([-+]?\d+(?:_\d+)*)\s*", re.DOTALL)
+
 
 class Stability(Enum):
     STABLE = "stable"
@@ -33,54 +42,85 @@ class Stability(Enum):
     UNSTABLE = "unstable"
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 when there is none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _rational(x) -> Fraction:
     """Fraction(x), with MalformedInput for anything that is not a finite
-    rational (a zero denominator, a non-numeric token, an infinite float)."""
+    rational (a zero denominator, a non-numeric token, an infinite float)
+    or whose numerator or denominator has more decimal digits than the
+    int-to-str limit allows, so that it could never be printed.  A decimal
+    exponent too large for that is refused before 10**exponent is built."""
+    limit = _digit_limit()
+    value = x
+    if limit and isinstance(x, str) and (m := _EXPONENT.fullmatch(x)):
+        mantissa, exponent = m.groups()
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        # a nonzero mantissa of L characters times 10**e has a numerator
+        # (e > 0) or a denominator (e < 0) of more than |e| - L digits
+        if len(digits) > 18 or int(digits or 0) > limit + len(mantissa):
+            if any(ch in "123456789" for ch in mantissa):
+                raise MalformedInput(f"coordinate {x!r:.40} has more than {limit} digits")
+            value = mantissa
     try:
-        return Fraction(x)
+        q = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise MalformedInput(f"not a rational number: {x!r}") from None
+    if limit and max(q.numerator.bit_length(), q.denominator.bit_length()) > 3 * limit:
+        # 10**limit has more than 3*limit bits
+        if max(abs(q.numerator), q.denominator) >= 10**limit:
+            raise MalformedInput(f"a coordinate has more than {limit} digits")
+    return q
 
 
 class Configuration:
     """n points on the projective line in homogeneous rational coordinates.
 
-    points holds the (u, v) pairs as Fractions; _scaled holds, per point,
-    the integers (U, V, s) with s = lcm of the denominators of u and v and
-    (U, V) = s*(u, v)."""
+    _scaled holds, per point, the integers (U, V, s) with s = lcm of the
+    denominators of u and v and (U, V) = s*(u, v); points rebuilds the
+    (u, v) pairs as Fractions.  A point whose coordinates are both of type
+    int (not bool) and well inside the digit limit skips the Fraction: its
+    triple is (u, v, 1)."""
 
-    __slots__ = ("points", "_scaled")
+    __slots__ = ("_scaled",)
 
     def __init__(self, points: Iterable[tuple]):
-        pts = []
         scaled = []
+        bits = 3 * _digit_limit() or math.inf  # int coordinates this short take the int route
         for p in points:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
                 raise MalformedInput(f"a point is a pair of rationals, got {p!r}")
-            u, v = _rational(p[0]), _rational(p[1])
-            (nu, du), (nv, dv) = u.as_integer_ratio(), v.as_integer_ratio()
-            if not (nu or nv):
+            u, v = p
+            if type(u) is int and type(v) is int and u.bit_length() <= bits and v.bit_length() <= bits:
+                s = 1
+            else:
+                (u, du), (v, dv) = _rational(u).as_integer_ratio(), _rational(v).as_integer_ratio()
+                s = math.lcm(du, dv)
+                u, v = u * (s // du), v * (s // dv)
+            if not (u or v):
                 raise MalformedInput("(0, 0) is not a projective point")
-            s = math.lcm(du, dv)
-            pts.append((u, v))
-            scaled.append((nu * (s // du), nv * (s // dv), s))
-        self.points = tuple(pts)
+            scaled.append((u, v, s))
         self._scaled = tuple(scaled)
 
     @classmethod
     def from_affine(cls, values: Iterable) -> "Configuration":
         """Build from affine values; None or 'inf' marks the point at infinity."""
-        pts = []
-        for x in values:
-            if x is None or (isinstance(x, str) and x.strip().lower() in INFINITY_TOKENS):
-                pts.append((Fraction(1), Fraction(0)))
-            else:
-                pts.append((_rational(x), Fraction(1)))
-        return cls(pts)
+        return cls(
+            (1, 0) if x is None or (isinstance(x, str) and x.strip().lower() in INFINITY_TOKENS) else (x, 1)
+            for x in values
+        )
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (u, v) pairs as Fractions in lowest terms."""
+        return tuple((Fraction(u, s), Fraction(v, s)) for u, v, s in self._scaled)
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self._scaled)
 
     def coincide(self, i: int, j: int) -> bool:
         """True iff points i and j (1-based) are projectively equal."""
@@ -89,37 +129,76 @@ class Configuration:
         return ui * vj == uj * vi
 
     def __eq__(self, other):
-        return isinstance(other, Configuration) and self.points == other.points
+        # the triple of a point (u, v) is unique, so equal triples mean equal points
+        return isinstance(other, Configuration) and self._scaled == other._scaled
 
     def __repr__(self):
         inner = ", ".join(f"[{u}:{v}]" for u, v in self.points)
         return f"Configuration({inner})"
 
 
-def evaluate(g: Graph, c: Configuration) -> Fraction:
-    """Product over edges of u_head*v_tail - u_tail*v_head, exact.
-
-    Each factor is (U_h*V_t - U_t*V_h) / (s_t*s_h) on the scaled integer
-    points, so both products stay in int and one Fraction is built."""
-    pts = c._scaled
-    if g.n != len(pts):
-        raise LengthMismatch(f"graph on {g.n} vertices, configuration of {len(pts)} points")
+def _bracket(edges, scaled) -> tuple[int, int]:
+    """The product over edges (t, h) of u_h*v_t - u_t*v_h as (num, den):
+    num multiplies the integer brackets U_h*V_t - U_t*V_h and den > 0 the
+    scales s_t*s_h of the scaled points (1-based).  Not reduced; (0, 1)
+    once a factor vanishes."""
     num = den = 1
-    for t, h in g.edges:
-        ut, vt, st = pts[t - 1]
-        uh, vh, sh = pts[h - 1]
+    for t, h in edges:
+        ut, vt, st = scaled[t - 1]
+        uh, vh, sh = scaled[h - 1]
         num *= uh * vt - ut * vh
         if not num:
-            break
+            return 0, 1
         den *= st * sh
-    return Fraction(num, den)
+    return num, den
+
+
+def _ratio_sum(terms) -> tuple[int, int]:
+    """The sum of coeff*num/den over (coeff, num, den) triples, den > 0 and
+    coeff an int or a Fraction, as (num, den) on the lcm of the
+    denominators met.  A homogeneous combination evaluates every graph on
+    one scale product, so that lcm is usually just the first den."""
+    total = 0
+    common = 1
+    for coeff, num, den in terms:
+        if not num:
+            continue
+        if type(coeff) is int:
+            num *= coeff
+        else:
+            num *= coeff.numerator
+            den *= coeff.denominator
+        if den != common:
+            lcm = math.lcm(common, den)
+            total *= lcm // common
+            num *= lcm // den
+            common = lcm
+        total += num
+    return total, common
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def evaluate(g: Graph, c: Configuration) -> Fraction:
+    """Product over edges of u_head*v_tail - u_tail*v_head, exact."""
+    if g.n != c.n:
+        raise LengthMismatch(f"graph on {g.n} vertices, configuration of {c.n} points")
+    return _fraction(*_bracket(g.edges, c._scaled))
+
+
+def _combination_ratio(comb, c: Configuration) -> tuple[int, int]:
+    """evaluate_combination as (num, den)."""
+    if comb.n != c.n:
+        raise LengthMismatch(f"combination on {comb.n} vertices, configuration of {c.n} points")
+    pts = c._scaled
+    return _ratio_sum((coeff, *_bracket(g.edges, pts)) for g, coeff in comb.terms.items())
 
 
 def evaluate_combination(comb, c: Configuration) -> Fraction:
     """Sum of coeff * evaluate(graph, c) over the combination's terms."""
-    if comb.n != c.n:
-        raise LengthMismatch(f"combination on {comb.n} vertices, configuration of {c.n} points")
-    return sum((coeff * evaluate(g, c) for g, coeff in comb.terms.items()), Fraction(0))
+    return _fraction(*_combination_ratio(comb, c))
 
 
 def stability(c: Configuration, w) -> Stability:

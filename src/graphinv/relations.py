@@ -19,13 +19,14 @@ from typing import Iterable, Sequence
 from .errors import (
     BadExponent,
     DegreeMismatch,
+    LengthMismatch,
     MalformedInput,
     NotAMatching,
     OddVertexCount,
     VertexCountMismatch,
     VertexCountTooSmall,
 )
-from .evaluation import Configuration, evaluate
+from .evaluation import Configuration, _bracket, _fraction, _ratio_sum
 from .graphs import (
     Combination,
     Graph,
@@ -82,16 +83,15 @@ class GraphPolynomial(Combination):
 
 
 def evaluate_polynomial(p: GraphPolynomial, c: Configuration) -> Fraction:
-    """Sum over terms of coeff times the product of factor evaluations."""
-    total = Fraction(0)
-    for mono, coeff in p.terms.items():
-        prod = coeff
-        for f in mono:
-            prod *= evaluate(f, c)
-            if not prod:
-                break
-        total += prod
-    return total
+    """Sum over terms of coeff times the product of factor evaluations.
+
+    A monomial's product is the bracket of its factors' edges taken
+    together, so each term is one integer (num, den)."""
+    if p.n != c.n:
+        raise LengthMismatch(f"polynomial on {p.n} vertices, configuration of {c.n} points")
+    pts = c._scaled
+    terms = ((coeff, *_bracket([e for f in mono for e in f.edges], pts)) for mono, coeff in p.terms.items())
+    return _fraction(*_ratio_sum(terms))
 
 
 def _check_vertex_count(n: int, least: int) -> None:

@@ -276,6 +276,144 @@ def test_verify_all_quick(capsys):
     assert out.splitlines()[-1] == "passed 7/7"
 
 
+VERIFY_ALL_SEED_0_JSON = """{
+  "checks": [
+    {
+      "details": "14 golden degrees",
+      "name": "degree-golden-values",
+      "passed": true
+    },
+    {
+      "details": "d^(n-3) scaling at d=2,3 (n=6) and d=2 (n=8)",
+      "name": "degree-scaling-law",
+      "passed": true
+    },
+    {
+      "details": "Catalan 2,5,14,42,132 and Riordan 91",
+      "name": "counting",
+      "passed": true
+    },
+    {
+      "details": "dim 14 (n=8), dim 0 (n=6), binomials span rank 14",
+      "name": "quadric-space",
+      "passed": true
+    },
+    {
+      "details": "member at n=8 (certificate 84 terms), non-member at n=6",
+      "name": "segre-membership",
+      "passed": true
+    },
+    {
+      "details": "200 straightenings, 100 kempe decompositions, relation batches, 3 full-rank basis matrices",
+      "name": "oracle-property-suites",
+      "passed": true
+    },
+    {
+      "details": "odd-power(6,3) = 288 * segre_cubic(6) after reduction",
+      "name": "odd-power-identification",
+      "passed": true
+    },
+    {
+      "details": "100 verified charts, zero matrix at the limit, ratios independent of the matching",
+      "name": "chart-identities",
+      "passed": true
+    },
+    {
+      "details": "unique non-crossing lifts for (2,1,1,1,1) and (2,2,1,1); clumped binomials stay relations",
+      "name": "clump-reduction",
+      "passed": true
+    }
+  ],
+  "command": "verify-all",
+  "inputs": {
+    "tier": "full"
+  },
+  "outputs": {
+    "passed": 9,
+    "total": 9
+  },
+  "seed": 0
+}
+"""
+
+VERIFY_ALL_SEED_0_TEXT = """\
+[PASS] degree-golden-values (Xs) 14 golden degrees
+[PASS] degree-scaling-law (Xs) d^(n-3) scaling at d=2,3 (n=6) and d=2 (n=8)
+[PASS] counting (Xs) Catalan 2,5,14,42,132 and Riordan 91
+[PASS] quadric-space (Xs) dim 14 (n=8), dim 0 (n=6), binomials span rank 14
+[PASS] segre-membership (Xs) member at n=8 (certificate 84 terms), non-member at n=6
+[PASS] oracle-property-suites (Xs) 200 straightenings, 100 kempe decompositions, relation batches, 3 full-rank basis matrices
+[PASS] odd-power-identification (Xs) odd-power(6,3) = 288 * segre_cubic(6) after reduction
+[PASS] chart-identities (Xs) 100 verified charts, zero matrix at the limit, ratios independent of the matching
+[PASS] clump-reduction (Xs) unique non-crossing lifts for (2,1,1,1,1) and (2,2,1,1); clumped binomials stay relations
+passed 9/9
+"""
+
+
+def test_verify_all_full_reports_are_pinned(capsys):
+    # byte for byte, apart from the timing_ms line and the per-check seconds
+    code, out, err = run(capsys, "verify-all", "--full", "--seed", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert re.sub(r',\n  "timing_ms": \d+', "", out) == VERIFY_ALL_SEED_0_JSON
+    code, out, err = run(capsys, "verify-all", "--full", "--seed", "0")
+    assert (code, err) == (0, "")
+    assert re.sub(r"\(\d+\.\d\ds\)", "(Xs)", out) == VERIFY_ALL_SEED_0_TEXT
+
+
+OVER_LONG_POINTS = ["1e5000,2,3,4", "0,1,2,-1e-100000000", "1,2,3,4e99999999999999999999", "1/2,1e4300,3,inf"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("points", OVER_LONG_POINTS)
+def test_over_long_coordinate_exits_2(capsys, tmp_path, fmt, points):
+    gpath = write_graph(tmp_path, "g.json", 4, [(1, 3), (2, 4)])
+    for argv in (["eval", "--graph", gpath], ["chart"]):
+        code, out, err = run(capsys, *argv, "--points", points, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error: MalformedInput:") and "digits" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_over_long_value_exits_2(capsys, monkeypatch, tmp_path, fmt):
+    # each coordinate fits the int-to-str limit; the product of six
+    # brackets does not, nor does an integer in the configuration document
+    gpath = write_graph(tmp_path, "g.json", 8, [(1, 2), (3, 4), (5, 6), (7, 8), (1, 3), (2, 4)])
+    big = "9" * 1500
+    code, out, err = run(capsys, "eval", "--graph", gpath, "--points", f"{big},-{big},1{big},2,3,4,5,6", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a number in the eval input or result has more decimal digits")
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"affine": [0, 1, 2, ' + "7" * 5000 + "]}"))
+    code, out, err = run(capsys, "eval", "--graph", gpath, "--config", "-", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: a number in the eval input or result") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_over_long_report_exits_2(capsys, monkeypatch, fmt):
+    from graphinv import cli
+
+    huge = 10 ** sys.get_int_max_str_digits()
+
+    def handler(args):
+        return {}, {"degree": huge}, [], lambda: [str(huge)], 0
+
+    monkeypatch.setitem(cli._HANDLERS, "degree", handler)
+    code, out, err = run(capsys, "degree", "--weights", "1,1,1,1", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == "error: a number in the degree report has more decimal digits than the interpreter's int-to-str limit\n"
+
+
+def test_non_limit_value_errors_still_raise(monkeypatch):
+    from graphinv import cli
+
+    def handler(args):
+        raise ValueError("a programming error")
+
+    monkeypatch.setitem(cli._HANDLERS, "degree", handler)
+    with pytest.raises(ValueError, match="a programming error"):
+        main(["degree", "--weights", "1,1,1,1"])
+
+
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "degree", "--weights", "3,3,3,3", "--format", "json", "--out", str(target))

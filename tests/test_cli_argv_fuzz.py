@@ -5,8 +5,9 @@ output when it exits 2.
 Every subcommand is drawn with its own flags and the common ones, in any
 order, as --flag value or --flag=value.  Each flag is passed with a good
 value, passed with a malformed one (0, negative numbers, x, 1/2, inf,
-empty weight lists, unknown --type, --format and check names, paths that
-are not documents), or left out; now and then an unknown argument joins
+empty weight lists, points whose decimal exponents pass the int-to-str
+digit limit, unknown --type, --format and check names, paths that are not
+documents), or left out; now and then an unknown argument joins
 them.  Sizes stay small so that the test is quick: n <= 8, at most 8
 weights of at most 4, --degree <= 3, and verify-all always with --only on
 checks that take milliseconds."""
@@ -59,8 +60,9 @@ BAD_WEIGHTS = st.one_of(
     st.tuples(csv(st.integers(1, 4), 0, 7), st.sampled_from(["0", "-1"])).map(lambda t: ",".join(filter(None, t))),
     st.sampled_from(["", ",", "1,,1", "x", "1/2,1,1,1", "inf", "1.5,1,1,1", "1 1 1 1", "-"]),
 )
-POINTS = st.sampled_from(["0,1,2,inf", "0,0,1,inf", "0,1,2,3,4,5", "0,0,1,1,2,inf"])
-BAD_POINTS = st.sampled_from(["0,1", "x", "", "1/0,1,2", "0,1/2,inf,inf", "0,0,0,0"])
+POINTS = st.sampled_from(["0,1,2,inf", "0,0,1,inf", "0,1,2,3,4,5", "0,0,1,1,2,inf", "0,1e40,-2e-30,inf", "0e99999999,1,2,3"])
+BAD_POINTS = st.sampled_from(["0,1", "x", "", "1/0,1,2", "0,1/2,inf,inf", "0,0,0,0",
+                              "1e5000,2,3,4", "0,1,-1e-100000000,inf", "0,1,2,3e99999999999999999999"])
 
 
 @pytest.fixture(scope="module")
