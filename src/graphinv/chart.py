@@ -169,19 +169,23 @@ def verify_chart(c: Configuration) -> ChartReport:
 def _decide(m: int, rows) -> tuple[list, dict]:
     """The minor failures and entry statuses of verify_chart, on _entries'
     integers: a/b == c/d iff a*d == b*c for nonzero b and d."""
+
+    def entry(i, j):
+        return rows[i - 2][j - m - 1]
+
     minor_failures = []
-    for (r1, i1), (r2, i2) in combinations(enumerate(range(2, m + 1)), 2):
-        for (k1, j1), (k2, j2) in combinations(enumerate(range(m + 1, 2 * m)), 2):
-            n11, d11 = rows[r1][k1][:2]
-            n22, d22 = rows[r2][k2][:2]
-            n12, d12 = rows[r1][k2][:2]
-            n21, d21 = rows[r2][k1][:2]
+    for i1, i2 in combinations(range(2, m + 1), 2):
+        for j1, j2 in combinations(range(m + 1, 2 * m), 2):
+            n11, d11, _, _ = entry(i1, j1)
+            n22, d22, _, _ = entry(i2, j2)
+            n12, d12, _, _ = entry(i1, j2)
+            n21, d21, _, _ = entry(i2, j1)
             if n11 * n22 * d12 * d21 != n12 * n21 * d11 * d22:
                 minor_failures.append((i1, i2, j1, j2))
     entry_status = {}
-    for r, i in enumerate(range(2, m + 1)):
-        for k, j in enumerate(range(m + 1, 2 * m)):
-            wn, wd, zn, zd = rows[r][k]
+    for i in range(2, m + 1):
+        for j in range(m + 1, 2 * m):
+            wn, wd, zn, zd = entry(i, j)
             if wn == wd:
                 # unreachable for configurations in the chart; kept so a
                 # report never divides by zero conceptually

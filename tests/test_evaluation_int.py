@@ -194,8 +194,9 @@ def test_drivers_agree_with_the_reference():
               for _ in range(10)]
     combos += [(c, 6) for c in plucker_linear_relations(6)[:10]]
     for _ in range(5):  # coefficients of several denominators
-        terms = straighten_graph(random_graph(rng, 6)).terms.items()
-        combos.append((GraphCombination(6, [(g, k * Fraction(rng.randint(-5, 5), rng.randint(1, 6))) for g, k in terms]), 6))
+        terms = [(g, k * Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                 for g, k in straighten_graph(random_graph(rng, 6)).terms.items()]
+        combos.append((GraphCombination(6, terms), 6))
     m8 = enumerate_matchings(8)
     polys = [(p, 8) for p in simple_binomial_relations(8)[:8]]
     polys += [(segre_cubic(8), 8), (odd_power_relation(6, noncrossing_matchings(6)[0], 3), 6)]
@@ -248,7 +249,7 @@ def test_clumped_terms_agree_with_the_reference():
     clumps = adjacent_clumps(w)
     rng = random.Random(7171)
     cases = 0
-    for p in simple_binomial_relations(8)[12:24]:
+    for p in simple_binomial_relations(8)[12:24]:  # the first 15 lose every monomial to the clumping
         images = []
         for mono, coeff in p.terms.items():
             clumped = [clump_map(GraphCombination.from_graph(f), clumps) for f in mono]
