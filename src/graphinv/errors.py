@@ -26,7 +26,7 @@ class SharedEndpoint(GraphInvError):
 
 
 class NonContiguousClump(GraphInvError):
-    """Clumps must be consecutive intervals covering 1..n in order."""
+    """Clumps must be nonempty consecutive intervals covering 1..n in order."""
 
 
 class LengthMismatch(GraphInvError):

@@ -41,7 +41,7 @@ from .graphs import (
     noncrossing_matchings,
 )
 from .linalg import RationalMatrix, _dependencies, in_span, kernel_basis
-from .straightening import GraphCombination, _expand, _normal_form, straighten, straighten_graph
+from .straightening import GraphCombination, _expand, straighten, straighten_graph
 
 
 def _factor_key(g: Graph):
@@ -174,19 +174,20 @@ def noncrossing_monomial_matrix(n: int, k: int) -> RationalMatrix:
     t-th degree-k monomial's product graph, in the non-crossing
     multidegree-(k,...,k) basis.
 
-    Built on sorted edge tuples with int coefficients: each distinct
-    product is expanded once by the straightening kernel and goes straight
-    to its basis rows."""
+    Built on sorted edge tuples with int coefficients by one call of the
+    straightening kernel, with monomial t as its column t: equal products
+    share one start graph, and a graph reached from several products is
+    exchanged once for all of them."""
     monos = noncrossing_monomials(n, k)
     index = {g.edges: i for i, g in enumerate(enumerate_noncrossing(n, (k,) * n))}
-    expanded: dict[tuple, dict[int, int]] = {}
-    columns = []
-    for mono in monos:
-        prod = tuple(sorted([e for f in mono for e in f.edges]))
-        col = expanded.get(prod)
-        if col is None:
-            col = expanded[prod] = {index[es]: c for es, c in _expand(n, {prod: 1}).items()}
-        columns.append(col)
+    start: dict[tuple, dict[int, int]] = {}
+    for t, mono in enumerate(monos):
+        start.setdefault(tuple(sorted([e for f in mono for e in f.edges])), {})[t] = 1
+    columns: list[dict[int, int]] = [{} for _ in monos]
+    for es, col in _expand(n, start).items():
+        row = index[es]
+        for t, c in col.items():
+            columns[t][row] = c
     return RationalMatrix.from_columns(columns, height=len(index))
 
 
@@ -280,26 +281,27 @@ def expand_variable(m: Graph) -> GraphCombination:
     return straighten_graph(m)
 
 
-@functools.cache
-def _variable(m: Graph) -> dict[tuple, int]:
-    """_normal_form of a canonical matching: the table of matching
-    variables, at most (n-1)!! entries per n.  Values are shared between
-    callers; never mutate one."""
-    return _normal_form(m)
-
-
-def _reduced_terms(p: GraphPolynomial) -> dict[tuple, int | Fraction]:
-    """The terms of reduce_to_noncrossing_vars(p) as {sorted tuple of
-    factor edge tuples: nonzero coefficient}, in no particular order."""
-    acc: dict[tuple, int | Fraction] = {}
-    for mono, coeff in p.terms.items():
-        for combo in itertools.product(*(_variable(f).items() for f in mono)):
-            c = coeff
-            for _, k in combo:
-                c *= k
-            key = tuple(sorted([es for es, _ in combo]))
-            acc[key] = acc.get(key, 0) + c
-    return {key: c for key, c in acc.items() if c}
+def _reduced_terms(*polys: GraphPolynomial) -> list[dict[tuple, int | Fraction]]:
+    """The terms of reduce_to_noncrossing_vars(p) for each p of polys (on
+    one vertex count) as {sorted tuple of factor edge tuples: nonzero
+    coefficient}, in no particular order; each distinct matching variable
+    is one column of a single kernel call."""
+    table: dict[tuple, list[tuple[tuple, int]]] = {f.edges: [] for p in polys for mono in p.terms for f in mono}
+    for es, col in _expand(polys[0].n, {v: {v: 1} for v in table}).items():
+        for v, k in col.items():
+            table[v].append((es, k))
+    out = []
+    for p in polys:
+        acc: dict[tuple, int | Fraction] = {}
+        for mono, coeff in p.terms.items():
+            for combo in itertools.product(*(table[f.edges] for f in mono)):
+                c = coeff
+                for _, k in combo:
+                    c *= k
+                key = tuple(sorted([es for es, _ in combo]))
+                acc[key] = acc.get(key, 0) + c
+        out.append({key: c for key, c in acc.items() if c})
+    return out
 
 
 def reduce_to_noncrossing_vars(p: GraphPolynomial) -> GraphPolynomial:
@@ -307,7 +309,7 @@ def reduce_to_noncrossing_vars(p: GraphPolynomial) -> GraphPolynomial:
     expand; the image of p in the polynomial ring on non-crossing matching
     variables (the quotient by sign and exchange linear relations)."""
     n = p.n
-    pairs = ((tuple(Graph._canonical(n, es) for es in mono), c) for mono, c in _reduced_terms(p).items())
+    pairs = ((tuple(Graph._canonical(n, es) for es in mono), c) for mono, c in _reduced_terms(p)[0].items())
     return GraphPolynomial._of(n, pairs, p.degree)
 
 
@@ -347,7 +349,7 @@ def ideal_membership(
     graph_of = {g.edges: g for g in noncrossing_matchings(n)}
     index = {m: t for t, m in enumerate(itertools.combinations_with_replacement(graph_of, k))}
 
-    reduced = [_reduced_terms(g) for g in generators]
+    *reduced, red_cand = _reduced_terms(*generators, candidate)
     by_degree: dict[int, list[int]] = {}
     for gi, red in enumerate(reduced):
         if not red:
@@ -391,7 +393,6 @@ def ideal_membership(
             columns.append(col)
             provenance.append((gi, cof))
 
-    red_cand = _reduced_terms(candidate)
     target = {index[mono]: c for mono, c in red_cand.items()}
     x = in_span(target, RationalMatrix.from_columns(columns, height=len(index)))
     if x is None:

@@ -12,10 +12,11 @@ reads
 on top of any residual graph; the sign conventions are pinned by the
 evaluation oracle in the test suite.
 
-Internally a graph is its canonical sorted edge tuple and a coefficient a
-plain int: a crossing exchange of canonical edges has coefficients +1, so
-straightening a graph never leaves the positive integers.  Public objects
-are built once, from the finished expansion.
+Internally a graph is its canonical sorted edge tuple, and one kernel
+call expands many combinations at once, each a column of coefficients.
+A crossing exchange of canonical edges has coefficients +1, so a start of
++1 never leaves the positive integers.  Public objects are built once,
+from the finished expansion.
 """
 
 from __future__ import annotations
@@ -155,21 +156,24 @@ def _exchange(edges: tuple, i: int, j: int) -> tuple[tuple, tuple]:
     return tuple(one), tuple(rest)
 
 
-def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
-    """Non-crossing expansion of the combination start, given and returned
-    as {canonical sorted edges: positive int}.
+def _expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
+    """Non-crossing expansion of several combinations at once, given and
+    returned as {canonical sorted edges: {column: coefficient}}: column t
+    of the result expands column t of start, a graph held by several
+    columns is exchanged once for all of them, and a coefficient that
+    cancels comes back as 0.  start is left unchanged.
 
     Top-down, with an explicit worklist in place of recursion: a graph's
-    coefficient collects every parent's before the graph is exchanged, so
+    column dict collects every parent's before the graph is exchanged, so
     each intermediate graph is exchanged once and only the frontier is
     held.  Graphs are taken longest total chord length first.  The
     exchange of a crossing pair strictly shortens it (asserted under
     __debug__; this is the termination argument), so every parent of a
     graph is taken before it.  The order only saves work: a graph taken
     too early would be exchanged again later, which linearity makes
-    harmless.  Coefficients stay positive, so nothing cancels.
+    harmless.
 
-    Next to its coefficient each pending graph keeps a hint: an index
+    Next to its column dict each pending graph keeps a hint: an index
     before which no edge crosses any edge, where its crossing search
     starts.  When a parent's lex-first crossing pair (a, b), (c, d) sits
     at indices i < j, its children get the hint r, the number of parent
@@ -184,17 +188,19 @@ def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
     still finds each graph's lex-first pair, so the same exchanges happen.
     """
     chord = _chords(n)
-    # canonical sorted edges -> [coefficient, hint]
-    pending = {es: [k, 0] for es, k in start.items()}
+    # canonical sorted edges -> [{column: coefficient}, hint]
+    pending = {es: [dict(col), 0] for es, col in start.items()}
     todo = [(-_chord_length(n, es), es) for es in pending]
     heapify(todo)
-    out: dict[tuple, int] = {}
+    out: dict[tuple, dict] = {}
     while todo:
         neg_length, es = heappop(todo)
-        k, hint = pending.pop(es)
+        col, hint = pending.pop(es)
         pair = _first_crossing(es, hint)
         if pair is None:
-            out[es] = out.get(es, 0) + k
+            acc = out.setdefault(es, {})
+            for t, k in col.items():
+                acc[t] = acc.get(t, 0) + k
             continue
         (a, b), (c, d) = es[pair[0]], es[pair[1]]
         crossed = chord[b - a] + chord[d - c]
@@ -204,48 +210,39 @@ def _expand(n: int, start: dict[tuple, int]) -> dict[tuple, int]:
         for child, length in zip(_exchange(es, *pair), shorter):
             entry = pending.get(child)
             if entry is None:
-                pending[child] = [k, r]
+                pending[child] = [col.copy(), r]
                 heappush(todo, (neg_length + crossed - length, child))
             else:
-                entry[0] += k
+                acc = entry[0]
+                for t, k in col.items():
+                    acc[t] = acc.get(t, 0) + k
                 if r < entry[1]:
                     entry[1] = r
     return out
 
 
-def _normal_form(g: Graph) -> dict[tuple, int]:
-    """Expansion of a canonical graph on the non-crossing basis, as a new
-    {canonical sorted edges: int}.
+def straighten_graph(g: Graph) -> GraphCombination:
+    """Straighten a single graph (any orientations) onto the basis.
 
     _first_crossing finds the lex-first crossing pair of the canonical
     sorted edges; the first exchange on it goes through the public
-    plucker_exchange, and the kernel expands the two children.
+    plucker_exchange, and straighten expands the two children.
     """
-    cross = _first_crossing(g.edges)
-    if cross is None:
-        return {g.edges: 1}
-    step = plucker_exchange(g, *cross).terms
-    assert all(
-        _chord_length(g.n, h.edges) < _chord_length(g.n, g.edges) - 1e-9 for h in step
-    ), "an exchange must shorten the chords"
-    return _expand(g.n, {h.edges: k for h, k in step.items()})
-
-
-def _combination(n: int, degree, pairs: Iterable[tuple[tuple, object]]) -> GraphCombination:
-    """A GraphCombination of (canonical sorted edges, coefficient) pairs."""
-    return GraphCombination._of(n, ((Graph._canonical(n, es), c) for es, c in pairs), degree)
-
-
-def straighten_graph(g: Graph) -> GraphCombination:
-    """Straighten a single graph (any orientations) onto the basis."""
     cg, sign = canonicalize(g)
-    return _combination(g.n, cg.multidegree(), ((es, sign * k) for es, k in _normal_form(cg).items()))
+    cross = _first_crossing(cg.edges)
+    if cross is None:
+        return GraphCombination._of(g.n, [(cg, sign)], cg.multidegree())
+    step = plucker_exchange(cg, *cross)
+    assert all(
+        _chord_length(g.n, h.edges) < _chord_length(g.n, cg.edges) - 1e-9 for h in step.terms
+    ), "an exchange must shorten the chords"
+    return straighten(sign * step)
 
 
 def straighten(c: GraphCombination) -> GraphCombination:
     """Rewrite c on the non-crossing basis; exact, linear, idempotent."""
-    pairs = ((es, coeff * k) for g, coeff in c.terms.items() for es, k in _normal_form(g).items())
-    return _combination(c.n, c.degree, pairs)
+    flat = _expand(c.n, {g.edges: {0: k} for g, k in c.terms.items()})
+    return GraphCombination._of(c.n, ((Graph._canonical(c.n, es), col[0]) for es, col in flat.items()), c.degree)
 
 
 def adjacent_clumps(sizes: Iterable[int]) -> list[list[int]]:
@@ -269,8 +266,8 @@ def clump_map(c: GraphCombination, clumps: Iterable[Iterable[int]]) -> GraphComb
     """
     clumps = [list(cl) for cl in clumps]
     flat = [v for cl in clumps for v in cl]
-    if flat != list(range(1, c.n + 1)):
-        raise NonContiguousClump(f"clumps must be consecutive intervals covering 1..{c.n} in order")
+    if not all(clumps) or flat != list(range(1, c.n + 1)):
+        raise NonContiguousClump(f"clumps must be nonempty consecutive intervals covering 1..{c.n} in order")
     vmap = {}
     for idx, cl in enumerate(clumps, start=1):
         for v in cl:

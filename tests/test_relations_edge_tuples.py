@@ -2,8 +2,7 @@
 membership assembled on sorted edge tuples with int coefficients, against
 the references that go through public objects (tests/relations_reference.py);
 and what that assembly makes cheap: the degree-3 multiplication map at
-n=10; and the table of matching variables, which only the reduction to
-non-crossing variables fills."""
+n=10."""
 
 import random
 from fractions import Fraction
@@ -11,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import relations_reference as ref
-from graphinv import relations, straightening
+from graphinv import relations
 from graphinv.errors import DegreeMismatch, VertexCountMismatch
 from graphinv.graphs import Graph, enumerate_matchings, enumerate_noncrossing
 from graphinv.linalg import rank
@@ -21,13 +20,10 @@ from graphinv.relations import (
     noncrossing_monomial_matrix,
     polynomial_from_json,
     polynomial_to_json,
-    quadric_relation_space,
     reduce_to_noncrossing_vars,
-    ring_normal_form,
     segre_cubic,
     simple_binomial_relations,
 )
-from graphinv.straightening import straighten_graph
 
 
 @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (6, 3), (8, 1), (8, 2), (8, 3), (10, 2)])
@@ -63,6 +59,25 @@ def test_reduction_matches_reference_on_seeded_polynomials():
         assert list(fast.terms.items()) == list(slow.terms.items())
         assert fast.degree == slow.degree
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in fast.terms.values())
+
+
+def test_one_call_reduces_every_polynomial_as_the_reference_does():
+    # each call holds crossing factors, variables shared between its
+    # polynomials and repeated within a monomial, and a zero polynomial
+    rng = random.Random(2408)
+    for _ in range(40):
+        n = rng.choice((4, 6, 8))
+        polys = [random_polynomial(rng, n, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        held = [f for p in polys for mono in p.terms for f in mono] or enumerate_matchings(n)
+        m = rng.choice(held)
+        polys.append(GraphPolynomial(n, {(m,) * 3: 2, (m, m, rng.choice(held)): Fraction(-1, 2)}))
+        polys.insert(rng.randrange(len(polys) + 1), GraphPolynomial.zero(n, rng.randint(0, 3)))
+        got = relations._reduced_terms(*polys)
+        want = [
+            {tuple(f.edges for f in mono): c for mono, c in ref.reduce_to_noncrossing_vars_reference(p).terms.items()}
+            for p in polys
+        ]
+        assert got == want
 
 
 def random_member(rng, generators, matchings, size=4):
@@ -172,29 +187,3 @@ def test_degree_3_multiplication_map_is_onto_at_10():
     assert (m.rows, m.cols) == (basis, 13244)
     assert rank(m) == basis
 
-
-def table_size():
-    return relations._variable.cache_info().currsize
-
-
-def test_matrix_assembly_leaves_the_memo_alone():
-    before = table_size()
-    assert len(quadric_relation_space(10)) == 300
-    assert table_size() == before
-
-
-def test_straightening_non_matchings_leaves_the_variable_table_alone():
-    before = table_size()
-    straighten_graph(Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8), (1, 3), (6, 8)]))
-    assert ring_normal_form(segre_cubic(8)).is_zero
-    assert table_size() == before
-
-
-def test_variable_table_holds_matching_variables():
-    relations._variable.cache_clear()
-    member, _ = ideal_membership(segre_cubic(8), simple_binomial_relations(8), 3)
-    assert member
-    assert 0 < table_size() <= 105  # (8-1)!! matchings
-    for m in enumerate_matchings(8):
-        assert relations._variable(m) == straightening._normal_form(m)
-    assert table_size() == 105

@@ -216,6 +216,9 @@ def test_clump_map_rejects_non_contiguous():
         clump_map(g, [[1, 3], [2], [4]])
     with pytest.raises(NonContiguousClump):
         clump_map(g, [[1, 2], [3]])
+    # an empty clump would be a vertex of degree 0
+    with pytest.raises(NonContiguousClump):
+        clump_map(g, [[1, 2], [], [3], [4]])
 
 
 def test_combination_json_round_trip():

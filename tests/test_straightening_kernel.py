@@ -1,5 +1,6 @@
-"""The integer worklist kernel behind straightening, checked against the
-recursive reference engine, the public exchange and the evaluation oracle."""
+"""The multi-column worklist kernel behind straightening, checked against
+the recursive reference engine, the public exchange and the evaluation
+oracle; and the one kernel call that each job makes."""
 
 import inspect
 import math
@@ -9,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
-from graphinv import straightening
+from graphinv import relations, straightening
 from graphinv.evaluation import evaluate, evaluate_combination, random_stable_configuration
 from graphinv.graphs import Graph, canonicalize, crossing_pairs, edges_cross
 from graphinv.straightening import plucker_exchange, straighten_graph
+from graphinv.relations import ideal_membership, noncrossing_monomial_matrix, segre_cubic, simple_binomial_relations
 from straightening_reference import chord_length, reference_straighten_graph
 
 
@@ -99,7 +101,8 @@ def test_expand_is_right_in_any_order(monkeypatch):
     # (13)(24), whose exchange then reaches it again.
     monkeypatch.setattr(straightening, "_chord_length", lambda n, edges: 0.0)
     crossing, leaf = ((1, 3), (2, 4)), ((1, 2), (3, 4))
-    assert straightening._expand(4, {crossing: 1, leaf: 1}) == {leaf: 2, ((1, 4), (2, 3)): 1}
+    got = straightening._expand(4, {crossing: {0: 1, 1: Fraction(-1, 2)}, leaf: {0: 1, 2: 3}})
+    assert got == {leaf: {0: 2, 1: Fraction(-1, 2), 2: 3}, ((1, 4), (2, 3)): {0: 1, 1: Fraction(-1, 2)}}
 
 
 def test_chord_table():
@@ -112,8 +115,9 @@ def test_chord_table():
 
 def test_normal_form_coefficients_are_positive_ints():
     g, _ = canonicalize(Graph(8, [(1, 5), (2, 6), (3, 7), (4, 8), (1, 3), (6, 8)]))
-    flat = straightening._normal_form(g)
-    assert all(type(v) is int and v > 0 for v in flat.values())
+    flat = straightening._expand(8, {g.edges: {0: 1}})
+    assert all(list(col) == [0] and type(col[0]) is int and col[0] > 0 for col in flat.values())
+    assert all(type(v) is int and v > 0 for v in straighten_graph(g).terms.values())
 
 
 def test_deep_input_needs_no_recursion():
@@ -137,9 +141,13 @@ def test_deep_input_needs_no_recursion():
 def test_normal_form_keeps_no_state():
     for edges in ([(1, 4), (2, 5), (3, 6)], [(1, 2), (3, 4), (5, 6)]):
         g, _ = canonicalize(Graph(6, edges))
-        first = straightening._normal_form(g)
-        second = straightening._normal_form(g)
+        col = {0: 1, 1: 2}
+        start = {g.edges: col}
+        first = straightening._expand(6, start)
+        second = straightening._expand(6, start)
+        assert start == {g.edges: {0: 1, 1: 2}} and start[g.edges] is col
         assert first == second and first is not second
+        assert all(first[es] is not second[es] and first[es] is not col for es in first)
 
 
 def random_matching_edges(rng, n):
@@ -189,14 +197,95 @@ def test_resumed_crossing_search_matches_full_search_and_reference(monkeypatch):
 
     monkeypatch.setattr(straightening, "_first_crossing", spy)
     rng = random.Random(99)
-    for _ in range(40):
+    for _ in range(20):
         n = rng.randint(6, 12)
         valence = rng.choice([v for v in (2, 3, 4) if n * v % 2 == 0 and (n <= 8 or v < 4)])
-        g = random_regular_multigraph(rng, n, valence)
-        while len(crossing_pairs(g)) > 24:  # the reference is slow beyond
+        gs = []
+        while len(gs) < 2:
             g = random_regular_multigraph(rng, n, valence)
-        g, _ = canonicalize(g)
-        got = straightening._expand(n, {g.edges: 1})
-        want = reference_straighten_graph(g)
-        assert {Graph(n, es): Fraction(k) for es, k in got.items()} == want.terms, g
+            if len(crossing_pairs(g)) <= 24:  # the reference is slow beyond
+                gs.append(canonicalize(g)[0])
+        # the first graph in both columns, the second in column 1 only
+        got = straightening._expand(n, {gs[0].edges: {0: 1, 1: 1}, gs[1].edges: {1: 1}})
+        first = reference_straighten_graph(gs[0])
+        want = [first, first + reference_straighten_graph(gs[1])]
+        for t in (0, 1):
+            assert {Graph(n, es): Fraction(col[t]) for es, col in got.items() if col.get(t)} == want[t].terms, gs
     assert max(searched) > 0
+
+
+def random_column_start(rng, n, columns):
+    """A seeded start of the given number of columns on canonical sorted
+    edges: graphs shared across columns with negative and Fraction
+    coefficients, the last column cancelling to zero, a crossing graph
+    minus its two children."""
+    graphs = [canonicalize(random_multigraph(rng, n))[0].edges for _ in range(rng.randint(1, 5))]
+    while (pair := straightening._first_crossing(graphs[0])) is None:
+        graphs[0] = canonicalize(random_multigraph(rng, n))[0].edges
+    start: dict[tuple, dict] = {}
+    for t in range(columns - 1):
+        for es in rng.sample(graphs, rng.randint(1, len(graphs))):
+            start.setdefault(es, {})[t] = rng.choice((-3, -1, 1, 2, Fraction(-2, 3), Fraction(5, 7)))
+    k = rng.choice((1, -2, Fraction(3, 4)))
+    start.setdefault(graphs[0], {})[columns - 1] = k
+    for child in straightening._exchange(graphs[0], *pair):
+        col = start.setdefault(child, {})
+        col[columns - 1] = col.get(columns - 1, 0) - k
+    return start
+
+
+def reference_column(n, start, t):
+    """Column t of start expanded alone by the reference engine, as
+    {canonical sorted edges: nonzero Fraction}."""
+    acc: dict[tuple, Fraction] = {}
+    for es, col in start.items():
+        if t in col:
+            for h, k in reference_straighten_graph(Graph(n, es)).terms.items():
+                acc[h.edges] = acc.get(h.edges, 0) + col[t] * k
+    return {es: c for es, c in acc.items() if c}
+
+
+def test_each_column_of_one_call_is_its_own_expansion():
+    rng = random.Random(2407)
+    for _ in range(80):
+        n = rng.randint(4, 10)
+        columns = rng.randint(1, 6)
+        start = random_column_start(rng, n, columns)
+        got = straightening._expand(n, start)
+        for t in range(columns):
+            want = reference_column(n, start, t)
+            assert {es: col[t] for es, col in got.items() if col.get(t)} == want, (n, start, t)
+        assert not want  # the last column cancels
+
+
+def spy_on_expand(monkeypatch) -> list[int]:
+    """Record the number of start graphs of every kernel call."""
+    expand = straightening._expand
+    calls = []
+
+    def spy(n, start):
+        calls.append(len(start))
+        return expand(n, start)
+
+    monkeypatch.setattr(straightening, "_expand", spy)
+    monkeypatch.setattr(relations, "_expand", spy)
+    return calls
+
+
+def test_each_job_is_one_kernel_call(monkeypatch):
+    comb = straightening.GraphCombination(
+        6,
+        {
+            Graph(6, [(1, 4), (2, 5), (3, 6)]): 2,
+            Graph(6, [(1, 3), (2, 5), (4, 6)]): Fraction(-1, 3),
+            Graph(6, [(1, 2), (3, 5), (4, 6)]): 1,
+        },
+    )
+    candidate, generators = segre_cubic(8), simple_binomial_relations(8)
+    calls = spy_on_expand(monkeypatch)
+    noncrossing_monomial_matrix(8, 3)
+    assert len(calls) == 1
+    straightening.straighten(comb)
+    assert calls[1:] == [3]
+    member, _ = ideal_membership(candidate, generators, 3)
+    assert member and len(calls) == 3
