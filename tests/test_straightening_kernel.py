@@ -13,8 +13,8 @@ import pytest
 from graphinv import relations, straightening
 from graphinv.evaluation import evaluate, evaluate_combination, random_stable_configuration
 from graphinv.graphs import Graph, canonicalize, crossing_pairs, edges_cross
-from graphinv.straightening import plucker_exchange, straighten_graph
 from graphinv.relations import ideal_membership, noncrossing_monomial_matrix, segre_cubic, simple_binomial_relations
+from graphinv.straightening import plucker_exchange, straighten_graph
 from straightening_reference import chord_length, reference_straighten_graph
 
 
