@@ -28,6 +28,7 @@ from .graphs import Graph, enumerate_noncrossing, noncrossing_matchings
 from .kempe import kempe_decompose
 from .linalg import RationalMatrix, rank
 from .relations import (
+    _reduced_terms,
     evaluate_polynomial,
     ideal_membership,
     noncrossing_monomials,
@@ -104,13 +105,10 @@ def check_quadric_space(base_seed: int):
     _expect(failures, "dim quadric space n=6", len(quadric_relation_space(6)), 0)
     gens = simple_binomial_relations(8)
     _expect(failures, "generator count n=8", len(gens), 35)
-    monos = noncrossing_monomials(8, 2)
-    index = {m: i for i, m in enumerate(monos)}
-    cols = []
-    for p in gens:
-        red = reduce_to_noncrossing_vars(p)
-        cols.append({index[mono]: coeff for mono, coeff in red.terms.items()})
-    r = rank(RationalMatrix.from_columns(cols, height=len(monos)))
+    # monomials as sorted tuples of factor edge tuples, as _reduced_terms keys them
+    index = {tuple(g.edges for g in m): i for i, m in enumerate(noncrossing_monomials(8, 2))}
+    cols = [{index[mono]: coeff for mono, coeff in red.items()} for red in _reduced_terms(*gens)]
+    r = rank(RationalMatrix.from_columns(cols, height=len(index)))
     _expect(failures, "rank of reduced binomials", r, 14)
     return not failures, "; ".join(failures) or "dim 14 (n=8), dim 0 (n=6), binomials span rank 14"
 

@@ -1,24 +1,36 @@
-"""Recursive computation of the projective degree of the weighted moduli
-spaces of points on the line.
+"""Projective degrees of the weighted moduli spaces of points on the line.
 
-The recursion: a 3-point space is a single point (degree 1); while two
-weights sum to more than half the total, subtract 1 from each (the pair
-can never collide with anything, and the space is unchanged); a balanced
-quadruple (d,d,d,d) is a degree-d rational normal curve; otherwise realize
-the weights as the multidegree of any loopless multigraph and sum, over
-its edges {j,k} with w_j + w_k < total/2, the edge multiplicity times the
-degree after merging j and k into one vertex (edges whose weights sum to
-exactly half the total contribute nothing).  The result is independent of
-the multigraph chosen, which the test suite checks.
+`moduli_degree` evaluates the closed form: the degree is the volume of
+the polygon space with side lengths w (Takakura 2001; Khoi 2005).  With
+n = len(w) and eps_S = 2S - sum(w),
 
-The recursion tree is the computation: every call builds its node, and
-the degree is the root's.  A run of pair reductions is walked in a loop,
-so it takes no stack; only merges recurse, at most one level per point.
+    deg(w) = (-1)^(n+1) 2^-(n-2) sum_{S : eps_S > 0} c[S] eps_S^(n-3),
+    c[S]   = sum_{I subset [n], sum_I w = S} (-1)^|I|,
+
+in exact ints.  c is built one class of equal weights at a time, so the
+cost is the number of distinct subset sums (n + 1 for equal weights,
+whatever their size), not the size of the weights.  On boundary weights
+(2 max w = sum w) the formula gives 0; the degree reported there is the
+recursion's 1, a single run of pair reductions down to 3 points.
+
+`degree_trace` keeps the recursion, whose tree is its output: a 3-point
+space is a single point (degree 1); while two weights sum to more than
+half the total, subtract 1 from each (the pair can never collide with
+anything, and the space is unchanged); a balanced quadruple (d,d,d,d) is
+a degree-d rational normal curve; otherwise realize the weights as the
+multidegree of any loopless multigraph and sum, over its edges {j,k}
+with w_j + w_k < total/2, the edge multiplicity times the degree after
+merging j and k into one vertex (edges whose weights sum to exactly half
+the total contribute nothing).  The result is independent of the
+multigraph chosen, which the test suite checks.  A run of pair
+reductions is walked in a loop, so it takes no stack; only merges
+recurse, at most one level per point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 
 from .errors import DegenerateModuli, EmptyModuli, OddTotalWeight
 from .graphs import Graph, _weights
@@ -108,14 +120,35 @@ def _degree(w: tuple[int, ...], memo: dict) -> dict:
 
 def moduli_degree(w) -> int:
     """Degree of the moduli space of w-weighted points on the line, under
-    its natural projective embedding."""
-    return degree_trace(w)[0]
+    its natural projective embedding, by the polygon-volume formula."""
+    w = _canon(_weights(w))
+    _validate(w)
+    if 2 * w[0] == sum(w):
+        return 1  # boundary: the formula gives 0, the recursion's pair reductions end at a point
+    n, total = len(w), sum(w)
+    c = {0: 1}  # subset sum S -> c[S]
+    for v, m in Counter(w).items():
+        signed, binom = [], 1  # (-1)^j C(m, j), j = 0..m
+        for j in range(m + 1):
+            signed.append(-binom if j % 2 else binom)
+            binom = binom * (m - j) // (j + 1)
+        step: dict[int, int] = {}
+        for s, k in c.items():
+            for j, b in enumerate(signed):
+                t = s + j * v
+                step[t] = step.get(t, 0) + b * k
+        c = step
+    g = gcd(*w)  # every eps_S is a multiple of g: raise the quotients to the power
+    powers = sum(k * ((2 * s - total) // g) ** (n - 3) for s, k in c.items() if 2 * s > total)
+    volume, rest = divmod(powers * g ** (n - 3), 1 << (n - 2))
+    assert not rest, "the volume sum is a multiple of 2^(n-2)"
+    return volume if n % 2 else -volume
 
 
 def degree_trace(w) -> tuple[int, dict]:
-    """moduli_degree plus the recursion tree that computed it, for display.
-    Weight vectors in the tree are sorted descending, as the recursion
-    canonicalizes."""
+    """The degree by the recursion, equal to moduli_degree, plus the
+    recursion tree that computed it, for display.  Weight vectors in the
+    tree are sorted descending, as the recursion canonicalizes."""
     node = _degree(_canon(_weights(w)), {})
     return node["degree"], node
 

@@ -148,13 +148,16 @@ def simple_binomial_relations(n: int) -> list[GraphPolynomial]:
         quads = [q for q in itertools.combinations(range(1, 9), 4) if 1 in q]
     else:
         quads = list(itertools.combinations(range(1, n + 1), 4))
+    # an order-preserving relabel of 1..n-4 onto the complement keeps both
+    # non-crossing and lex order, so the first two matchings are shared
+    first_two = [g.edges for g in noncrossing_matchings(n - 4)[:2]]
     out = []
     for quad in quads:
         i, j, k, l = quad
         d1 = ((i, j), (k, l))
         d2 = ((i, l), (j, k))
         rest = [v for v in range(1, n + 1) if v not in quad]
-        g1, g2 = (g.edges for g in noncrossing_matchings(n, rest)[:2])
+        g1, g2 = (tuple((rest[t - 1], rest[h - 1]) for t, h in es) for es in first_two)
         terms = (
             (_canonical_monomial(n, g1 + d1, g2 + d2), 1),
             (_canonical_monomial(n, g1 + d2, g2 + d1), -1),

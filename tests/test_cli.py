@@ -108,16 +108,30 @@ SHALLOW_STACK_DEGREE = """
 import sys
 sys.setrecursionlimit(100)
 from graphinv.cli import main
-sys.exit(main(["degree", "--weights", ",".join(["1"] * 120)]))
+sys.exit(main(["degree", "--weights", ",".join(["1"] * 120), "--trace"]))
 """
 
 
 def test_degree_too_deep_for_the_stack_exits_2():
-    # The computation recurses once per merge, so 120 unit weights under a
-    # limit of 100 frames stand in for about 1,200 under the default one.
+    # The traced recursion recurses once per merge, so 120 unit weights
+    # under a limit of 100 frames stand in for about 1,200 under the
+    # default one.
     proc = run_child("-c", SHALLOW_STACK_DEGREE)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: the degree computation is nested too deeply\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_degree_past_the_digit_limit_exits_2(capsys, fmt):
+    # 1,000 weights of 100000: a 7,541-digit degree, past the default limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "degree", "--weights", ",".join(["100000"] * 1000), "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert err == "error: a number in the degree report has more decimal digits than the interpreter's int-to-str limit\n"
 
 
 def test_degree_odd_total_exits_2(capsys):

@@ -1,9 +1,12 @@
 import math
 import random
 import sys
+import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphinv import degree
 from graphinv.degree import (
@@ -103,10 +106,11 @@ def test_degree_independent_of_multigraph_choice(monkeypatch):
         w = tuple(rng.randint(1, 4) for _ in range(n))
         if sum(w) % 2 == 0 and 2 * max(w) <= sum(w):
             vectors.append(w)
-    base = [moduli_degree(w) for w in vectors]
+    # the recursion behind degree_trace; moduli_degree uses no multigraph
+    base = [degree_trace(w)[0] for w in vectors]
     for s in range(5):
         monkeypatch.setattr(degree, "greedy_multigraph", random_builder(s))
-        assert [moduli_degree(w) for w in vectors] == base, s
+        assert [degree_trace(w)[0] for w in vectors] == base, s
 
 
 def test_memo_transparency():
@@ -227,10 +231,78 @@ def test_degree_matches_reference_without_memo_and_with_other_builders(monkeypat
     for builder in (greedy_multigraph, random_builder(1)):
         monkeypatch.setattr(degree, "greedy_multigraph", builder)
         for w in vectors:
-            got = outcome(moduli_degree, w)
+            got = outcome(lambda v: degree_trace(v)[0], w)
             for use_memo in (True, False):
                 want = outcome(lambda v: reference_moduli_degree(v, graph_builder=builder, use_memo=use_memo), w)
                 assert got == want, (w, use_memo)
+
+
+def formula_vectors(seed, count):
+    """count seeded weight vectors of lengths 1-10 with entries 1-7, valid or
+    not (odd totals, lengths below 3, empty moduli), then boundary,
+    empty-moduli and degenerate ones, a third each."""
+    rng = random.Random(seed)
+    vectors = [tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 10))) for _ in range(count)]
+    for _ in range(count // 3):
+        rest = [rng.randint(1, 3) for _ in range(rng.randint(2, 9))]
+        vectors.append(tuple(rest + [sum(rest)]))  # one weight is half the total
+        vectors.append(tuple(rest + [sum(rest) + 2]))  # one weight is more than half
+        vectors.append((rng.randint(1, 7),) * 2)  # two points: even total, nothing to move
+    return vectors
+
+
+def test_formula_vectors_cover_every_case():
+    vectors = formula_vectors(23, 100)
+    outcomes = [outcome(reference_moduli_degree, w) for w in vectors]
+    assert {OddTotalWeight, EmptyModuli, DegenerateModuli} <= set(outcomes)
+    assert sum(is_boundary(w) for w in vectors if sum(w) % 2 == 0) >= 33
+    assert sum(isinstance(x, int) for x in outcomes) >= 60
+    assert {len(w) for w in vectors} == set(range(1, 11))
+
+
+def assert_formula_matches_recursion(w):
+    want = outcome(reference_moduli_degree, w)
+    assert outcome(moduli_degree, w) == want, w
+    assert outcome(lambda v: degree_trace(v)[0], w) == want, w
+
+
+@pytest.mark.parametrize("seed", [23, 24])
+def test_formula_matches_reference_recursion(seed):
+    for w in formula_vectors(seed, 100):
+        assert_formula_matches_recursion(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 7), min_size=1, max_size=10),
+        st.lists(st.integers(1, 3), min_size=2, max_size=9).map(lambda r: r + [sum(r)]),  # boundary
+    )
+)
+def test_formula_matches_reference_recursion_on_generated_weights(w):
+    assert_formula_matches_recursion(tuple(w))
+
+
+def test_formula_is_invariant_under_permutation():
+    rng = random.Random(29)
+    for w in formula_vectors(29, 60):
+        want = outcome(moduli_degree, w)
+        for _ in range(3):
+            v = list(w)
+            rng.shuffle(v)
+            assert outcome(moduli_degree, v) == want, (w, v)
+
+
+def test_formula_at_scale():
+    start = time.perf_counter()
+    ones = moduli_degree((1,) * 1000)  # the recursion raised RecursionError here
+    assert time.perf_counter() - start < 1.0
+    assert ones > 0 and ones.bit_length() > 8000
+    d = 10**6
+    assert moduli_degree((d,) * 40) == d**37 * moduli_degree((1,) * 40)
+    assert moduli_degree((10**7,) * 6) == 3 * 10**21
+    assert moduli_degree((200_000, 200_000, 1, 1)) == 1
+    assert [moduli_degree((1,) * n) for n in (6, 8, 10, 12)] == [3, 40, 1225, 67956]
 
 
 @contextmanager

@@ -65,6 +65,13 @@ def test_simple_binomials_match_the_validated_construction(n):
     assert_same_family(simple_binomial_relations(n), simple_binomial_relations_reference(n), GraphPolynomial)
 
 
+@pytest.mark.parametrize("n", [8, 10, 12, 14])
+def test_simple_binomials_share_the_complement_matchings(n):
+    # the first two matchings of 1..n-4, relabelled onto each complement,
+    # are those that noncrossing_matchings(n, complement) gives per subset
+    assert repr(simple_binomial_relations(n)) == repr(simple_binomial_relations_reference(n))
+
+
 def test_family_terms_are_canonical():
     for c in plucker_linear_relations(8):
         for g in c.terms:
