@@ -123,9 +123,9 @@ def moduli_degree(w) -> int:
     its natural projective embedding, by the polygon-volume formula."""
     w = _canon(_weights(w))
     _validate(w)
-    if 2 * w[0] == sum(w):
-        return 1  # boundary: the formula gives 0, the recursion's pair reductions end at a point
     n, total = len(w), sum(w)
+    if 2 * w[0] == total:
+        return 1  # boundary: the formula gives 0, the recursion's pair reductions end at a point
     c = {0: 1}  # subset sum S -> c[S]
     for v, m in Counter(w).items():
         signed, binom = [], 1  # (-1)^j C(m, j), j = 0..m
