@@ -220,7 +220,7 @@ def check_oracle_property_suites(base_seed: int):
                 configs = [
                     random_stable_configuration(w, seed=rng.randrange(2**30)) for _ in range(k)
                 ]
-                m = RationalMatrix([[evaluate(b, c) for b in basis] for c in configs])
+                m = RationalMatrix.from_columns([[evaluate(b, c) for c in configs] for b in basis])
                 if rank(m) == k:
                     full = True
                     break

@@ -13,16 +13,16 @@ on top of any residual graph; the sign conventions are pinned by the
 evaluation oracle in the test suite.
 
 Internally a graph is its canonical sorted edge tuple, and one kernel
-call expands many combinations at once, each a column of coefficients.
-A crossing exchange of canonical edges has coefficients +1, so a start of
-+1 never leaves the positive integers.  Public objects are built once,
-from the finished expansion.
+call, on int edge codes, expands many combinations at once, each a column
+of coefficients.  A crossing exchange of canonical edges has coefficients
++1, so a start of +1 never leaves the positive integers.  Public objects
+are built once, from the finished expansion.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import index
@@ -120,39 +120,39 @@ def _chord_length(n: int, edges: tuple) -> float:
     return sum([chord[h - t] for t, h in edges])
 
 
-def _first_crossing(edges: tuple, start: int = 0) -> tuple[int, int] | None:
-    """The lex-first index pair i < j of canonical sorted edges (a, b),
-    (c, d) with a < c < b < d, or None when no two edges cross; the scan
-    starts at i = start, so the caller vouches that no edge before start
-    crosses any edge.
-
-    Sorted tails make c >= a, so (a, b) crosses no later edge once c >= b.
-    """
-    m = len(edges)
+def _first_crossing(codes: tuple, shift: int, start: int = 0) -> tuple[int, int] | None:
+    """The lex-first index pair i < j of sorted edge codes t << shift | h,
+    (a, b) and (c, d) with a < c < b < d, or None when no two edges cross;
+    the scan starts at i = start, so the caller vouches that no edge before
+    start crosses any edge.  Sorted tails make c >= a, so (a, b) crosses no
+    later edge once c >= b, that is once the code reaches b << shift."""
+    mask = (1 << shift) - 1
+    m = len(codes)
     for i in range(start, m - 1):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if c >= b:
-                break
-            if c > a and d > b:
+        x = codes[i]
+        b = x & mask
+        stop, low = b << shift, x - b + mask + 1  # tail >= b; tail > a
+        j = i + 1
+        while j < m and (y := codes[j]) < stop:
+            if y >= low and y & mask > b:
                 return i, j
+            j += 1
     return None
 
 
-def _exchange(edges: tuple, i: int, j: int) -> tuple[tuple, tuple]:
+def _exchange(codes: tuple, i: int, j: int, shift: int) -> tuple[tuple, tuple]:
     """The two children, each with coefficient +1, of the crossing pair at
-    indices i < j of canonical sorted edges: (a, b), (c, d) with
-    a < c < b < d become (a, c), (b, d) and (a, d), (c, b)."""
-    a, b = edges[i]
-    c, d = edges[j]
-    rest = list(edges)
+    indices i < j of sorted edge codes: (a, b), (c, d) with a < c < b < d
+    become (a, c), (b, d) and (a, d), (c, b)."""
+    x, y = codes[i], codes[j]
+    b, d = x & ((1 << shift) - 1), y & ((1 << shift) - 1)
+    rest = list(codes)
     del rest[j], rest[i]
     one = rest.copy()
-    insort(one, (a, c))
-    insort(one, (b, d))
-    insort(rest, (a, d))
-    insort(rest, (c, b))
+    insort(one, x - b + (y >> shift))
+    insort(one, b << shift | d)
+    insort(rest, x - b + d)
+    insort(rest, y - d + b)
     return tuple(one), tuple(rest)
 
 
@@ -163,62 +163,61 @@ def _expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
     columns is exchanged once for all of them, and a coefficient that
     cancels comes back as 0.  start is left unchanged.
 
-    Top-down, with an explicit worklist in place of recursion: a graph's
-    column dict collects every parent's before the graph is exchanged, so
-    each intermediate graph is exchanged once and only the frontier is
-    held.  Graphs are taken longest total chord length first.  The
-    exchange of a crossing pair strictly shortens it (asserted under
-    __debug__; this is the termination argument), so every parent of a
-    graph is taken before it.  The order only saves work: a graph taken
+    Inside the call the edge (t, h) is the int code t << shift | h, with
+    shift = n.bit_length(), which sorts as (t, h) does; each distinct edge
+    is decoded once at the end.  Top-down, with an explicit worklist in place
+    of recursion: a graph's column dict collects every parent's before the
+    graph is exchanged, so each intermediate graph is exchanged once and
+    only the frontier is held.  Graphs are taken longest total chord length
+    first.  The exchange of a crossing pair strictly shortens it (asserted
+    under __debug__; this is the termination argument), so every parent of
+    a graph is taken before it.  The order only saves work: a graph taken
     too early would be exchanged again later, which linearity makes
     harmless.
 
-    Next to its column dict each pending graph keeps a hint: an index
-    before which no edge crosses any edge, where its crossing search
-    starts.  When a parent's lex-first crossing pair (a, b), (c, d) sits
-    at indices i < j, its children get the hint r, the number of parent
-    edges with tail < a.  Those r edges come before i, so they cross no
-    parent edge, and they stay the first r edges of both children, whose
-    new edges (a, c), (b, d), (a, d) and (c, b) all have tail >= a.  Nor
-    do they cross a new edge: an edge (p, q) with p < a that crossed one
-    would cross (a, b) or (c, d) (for (a, c): p < a < q < c < b; for
-    (b, d): p < c < b < q < d; for (a, d): p < a < q < b, or
-    p < c < q < d when q >= b; for (c, b): p < a < c < q < b).  A child
-    reached from several parents keeps the smallest hint.  The search
-    still finds each graph's lex-first pair, so the same exchanges happen.
+    A graph is searched for its lex-first crossing pair once, when first
+    met: a leaf goes straight into the result and never into the heap, and
+    a pending graph keeps its pair.  When a parent's pair (a, b), (c, d)
+    sits at indices i < j, its children's search starts at i.  The edges
+    before i cross no parent edge and are the first i edges of both
+    children: (b, d), (a, d) and (c, b) sort after (a, b), and (a, c) after
+    each earlier (a, q), as q <= c lest (a, q) cross (c, d).  Nor do they
+    cross a new edge: as c lies between a and b and b between c and d, the
+    open interval (p, q) of an edge that crosses neither (a, b) nor (c, d)
+    holds all of a, b, c, d but its own ends, or none.
     """
+    shift = n.bit_length()
+    mask = (1 << shift) - 1
     chord = _chords(n)
-    # canonical sorted edges -> [{column: coefficient}, hint]
-    pending = {es: [dict(col), 0] for es, col in start.items()}
-    todo = [(-_chord_length(n, es), es) for es in pending]
+    seen: dict[tuple, list] = {}  # edge codes -> [{column: coefficient}, crossing pair or None]
+    todo = []
+    for es, col in start.items():
+        codes = tuple([t << shift | h for t, h in es])
+        seen[codes] = [dict(col), pair := _first_crossing(codes, shift)]
+        if pair is not None:
+            todo.append((-_chord_length(n, es), codes))
     heapify(todo)
-    out: dict[tuple, dict] = {}
     while todo:
-        neg_length, es = heappop(todo)
-        col, hint = pending.pop(es)
-        pair = _first_crossing(es, hint)
-        if pair is None:
-            acc = out.setdefault(es, {})
-            for t, k in col.items():
-                acc[t] = acc.get(t, 0) + k
-            continue
-        (a, b), (c, d) = es[pair[0]], es[pair[1]]
+        neg_length, codes = heappop(todo)
+        col, (i, j) = seen.pop(codes)
+        x, y = codes[i], codes[j]
+        a, b, c, d = x >> shift, x & mask, y >> shift, y & mask
         crossed = chord[b - a] + chord[d - c]
         shorter = (chord[c - a] + chord[d - b], chord[d - a] + chord[b - c])
         assert max(shorter) < crossed - 1e-9, "an exchange must shorten the chords"
-        r = bisect_left(es, (a, 0))
-        for child, length in zip(_exchange(es, *pair), shorter):
-            entry = pending.get(child)
+        for child, length in zip(_exchange(codes, i, j, shift), shorter):
+            entry = seen.get(child)
             if entry is None:
-                pending[child] = [col.copy(), r]
-                heappush(todo, (neg_length + crossed - length, child))
+                seen[child] = [col.copy(), pair := _first_crossing(child, shift, i)]
+                if pair is not None:
+                    heappush(todo, (neg_length + crossed - length, child))
             else:
                 acc = entry[0]
                 for t, k in col.items():
                     acc[t] = acc.get(t, 0) + k
-                if r < entry[1]:
-                    entry[1] = r
-    return out
+    # every pending graph has been taken, so only the leaves are left
+    edge = {x: (x >> shift, x & mask) for x in set().union(*seen)}
+    return {tuple([edge[x] for x in codes]): col for codes, (col, _) in seen.items()}
 
 
 def straighten_graph(g: Graph) -> GraphCombination:
@@ -229,7 +228,8 @@ def straighten_graph(g: Graph) -> GraphCombination:
     plucker_exchange, and straighten expands the two children.
     """
     cg, sign = canonicalize(g)
-    cross = _first_crossing(cg.edges)
+    shift = g.n.bit_length()
+    cross = _first_crossing(tuple([t << shift | h for t, h in cg.edges]), shift)
     if cross is None:
         return GraphCombination._of(g.n, [(cg, sign)], cg.multidegree())
     step = plucker_exchange(cg, *cross)

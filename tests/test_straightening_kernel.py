@@ -15,7 +15,12 @@ from graphinv.evaluation import evaluate, evaluate_combination, random_stable_co
 from graphinv.graphs import Graph, canonicalize, crossing_pairs, edges_cross
 from graphinv.relations import ideal_membership, noncrossing_monomial_matrix, segre_cubic, simple_binomial_relations
 from graphinv.straightening import plucker_exchange, straighten_graph
-from straightening_reference import chord_length, reference_straighten_graph
+from straightening_reference import (
+    chord_length,
+    reference_exchange,
+    reference_first_crossing,
+    reference_straighten_graph,
+)
 
 
 def random_multigraph(rng, n, max_valence=4):
@@ -40,6 +45,16 @@ def random_canonical_edges(rng, n, count):
     return tuple(sorted(edges))
 
 
+def coded(n, edges):
+    """Canonical sorted edges as the kernel's int codes, with their shift."""
+    shift = n.bit_length()
+    return tuple(t << shift | h for t, h in edges), shift
+
+
+def decoded(codes, shift):
+    return tuple((x >> shift, x & ((1 << shift) - 1)) for x in codes)
+
+
 def test_kernel_matches_reference_and_oracle():
     rng = random.Random(2024)
     for trial in range(250):
@@ -59,7 +74,9 @@ def test_first_crossing_is_the_first_crossing_pair():
         n = rng.randint(4, 10)
         edges = random_canonical_edges(rng, n, rng.randint(1, 12))
         cross = crossing_pairs(Graph(n, edges))
-        assert straightening._first_crossing(edges) == (cross[0] if cross else None)
+        codes, shift = coded(n, edges)
+        assert decoded(codes, shift) == edges and list(codes) == sorted(codes)
+        assert straightening._first_crossing(codes, shift) == (cross[0] if cross else None)
 
 
 def test_exchange_matches_plucker_exchange():
@@ -72,7 +89,10 @@ def test_exchange_matches_plucker_exchange():
         if not cross:
             continue
         i, j = rng.choice(cross)
-        one, two = straightening._exchange(edges, i, j)
+        codes, shift = coded(n, edges)
+        children = straightening._exchange(codes, i, j, shift)
+        assert all(list(child) == sorted(child) for child in children)
+        one, two = (decoded(child, shift) for child in children)
         assert list(one) == sorted(one) and list(two) == sorted(two)
         want = plucker_exchange(Graph(n, edges), i, j)
         assert want.terms == {Graph(n, one): Fraction(1), Graph(n, two): Fraction(1)}
@@ -86,13 +106,14 @@ def test_exchange_shortens_total_chord_length():
     while checked < 200:
         n = rng.randint(4, 14)
         edges = random_canonical_edges(rng, n, rng.randint(2, 10))
-        pair = straightening._first_crossing(edges)
+        codes, shift = coded(n, edges)
+        pair = straightening._first_crossing(codes, shift)
         if pair is None:
             continue
         before = chord_length(Graph(n, edges))
         assert math.isclose(straightening._chord_length(n, edges), before)
-        for child in straightening._exchange(edges, *pair):
-            assert chord_length(Graph(n, child)) < before - 1e-9
+        for child in straightening._exchange(codes, *pair, shift):
+            assert chord_length(Graph(n, decoded(child, shift))) < before - 1e-9
         checked += 1
 
 
@@ -183,19 +204,28 @@ def random_regular_multigraph(rng, n, valence):
 
 
 def test_resumed_crossing_search_matches_full_search_and_reference(monkeypatch):
-    first_crossing = straightening._first_crossing
+    first_crossing, exchange = straightening._first_crossing, straightening._exchange
+    exchanged = []  # the index i of each exchanged pair, in call order
     searched = []
 
-    def spy(edges, start=0):
-        # no edge before the hint crosses any edge ...
+    def spy_exchange(codes, i, j, shift):
+        exchanged.append(i)
+        return exchange(codes, i, j, shift)
+
+    def spy(codes, shift, start=0):
+        # a start graph is searched from 0, a child from its parent's i ...
+        assert start == (exchanged[-1] if exchanged else 0), (codes, start)
+        # ... before which no edge crosses any edge ...
+        edges = decoded(codes, shift)
         assert not any(edges_cross(e, f) for e in edges[:start] for f in edges), (edges, start)
         # ... so the search from it finds the lex-first pair
-        got = first_crossing(edges, start)
-        assert got == first_crossing(edges, 0), (edges, start)
+        got = first_crossing(codes, shift, start)
+        assert got == first_crossing(codes, shift, 0), (edges, start)
         searched.append(start)
         return got
 
     monkeypatch.setattr(straightening, "_first_crossing", spy)
+    monkeypatch.setattr(straightening, "_exchange", spy_exchange)
     rng = random.Random(99)
     for _ in range(20):
         n = rng.randint(6, 12)
@@ -206,6 +236,7 @@ def test_resumed_crossing_search_matches_full_search_and_reference(monkeypatch):
             if len(crossing_pairs(g)) <= 24:  # the reference is slow beyond
                 gs.append(canonicalize(g)[0])
         # the first graph in both columns, the second in column 1 only
+        exchanged.clear()
         got = straightening._expand(n, {gs[0].edges: {0: 1, 1: 1}, gs[1].edges: {1: 1}})
         first = reference_straighten_graph(gs[0])
         want = [first, first + reference_straighten_graph(gs[1])]
@@ -220,7 +251,7 @@ def random_column_start(rng, n, columns):
     coefficients, the last column cancelling to zero, a crossing graph
     minus its two children."""
     graphs = [canonicalize(random_multigraph(rng, n))[0].edges for _ in range(rng.randint(1, 5))]
-    while (pair := straightening._first_crossing(graphs[0])) is None:
+    while (pair := reference_first_crossing(graphs[0])) is None:
         graphs[0] = canonicalize(random_multigraph(rng, n))[0].edges
     start: dict[tuple, dict] = {}
     for t in range(columns - 1):
@@ -228,7 +259,7 @@ def random_column_start(rng, n, columns):
             start.setdefault(es, {})[t] = rng.choice((-3, -1, 1, 2, Fraction(-2, 3), Fraction(5, 7)))
     k = rng.choice((1, -2, Fraction(3, 4)))
     start.setdefault(graphs[0], {})[columns - 1] = k
-    for child in straightening._exchange(graphs[0], *pair):
+    for child in reference_exchange(graphs[0], *pair):
         col = start.setdefault(child, {})
         col[columns - 1] = col.get(columns - 1, 0) - k
     return start
