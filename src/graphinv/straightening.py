@@ -15,15 +15,15 @@ evaluation oracle in the test suite.
 Internally a graph is its canonical sorted edge tuple, and one kernel
 call, on int edge codes, expands many combinations at once, each a column
 of coefficients.  A crossing exchange of canonical edges has coefficients
-+1, so a start of +1 never leaves the positive integers.  Public objects
-are built once, from the finished expansion.
++1, so a start of +1 never leaves the positive integers.  The worklist is
+ordered by an int potential that every exchange lowers, so the kernel
+works in exact integers throughout.  Public objects are built once, from
+the finished expansion.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import insort
-from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import index
 from typing import Iterable
@@ -107,17 +107,9 @@ def plucker_exchange(g: Graph, e1: int, e2: int) -> GraphCombination:
     return GraphCombination(g.n, terms, degree=g.multidegree())
 
 
-@cache
-def _chords(n: int) -> tuple[float, ...]:
-    """Euclidean length of a chord of span s = h - t with the n vertices on
-    the unit circle, sin(pi * arc / n), indexed by s."""
-    return tuple(math.sin(math.pi * min(s, n - s) / n) for s in range(n))
-
-
-def _chord_length(n: int, edges: tuple) -> float:
-    """Total chord length of canonical edges with vertices on the unit circle."""
-    chord = _chords(n)
-    return sum([chord[h - t] for t, h in edges])
+def _potential(n: int, edges) -> int:
+    """The sum of s(n - s) over canonical edges (t, h) of span s = h - t."""
+    return sum([(h - t) * (n - h + t) for t, h in edges])
 
 
 def _first_crossing(codes: tuple, shift: int, start: int = 0) -> tuple[int, int] | None:
@@ -168,12 +160,21 @@ def _expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
     is decoded once at the end.  Top-down, with an explicit worklist in place
     of recursion: a graph's column dict collects every parent's before the
     graph is exchanged, so each intermediate graph is exchanged once and
-    only the frontier is held.  Graphs are taken longest total chord length
-    first.  The exchange of a crossing pair strictly shortens it (asserted
-    under __debug__; this is the termination argument), so every parent of
-    a graph is taken before it.  The order only saves work: a graph taken
-    too early would be exchanged again later, which linearity makes
-    harmless.
+    only the frontier is held.
+
+    Graphs are taken highest potential first, the potential being the sum
+    of s(n - s) over edge spans s (_potential).  As s -> s(n - s) is
+    strictly concave, the exchange of a crossing pair a < c < b < d lowers
+    it by exactly 2(b - c)(n - d + a) for the child (a, c), (b, d) and by
+    2(c - a)(d - b) for the child (a, d), (c, b): positive ints, as
+    1 <= a and d <= n (asserted under __debug__).  So a child's heap key,
+    its potential negated, is its parent's key plus its drop, with no
+    recomputation; keys are popped in nondecreasing order, and every
+    parent of a graph is taken before it.  Each drop is at least 2, so no
+    chain of exchanges from a start graph is longer than half its
+    potential: this is the termination argument.  The order only saves
+    work: a graph taken too early would be exchanged again later, which
+    linearity makes harmless.
 
     A graph is searched for its lex-first crossing pair once, when first
     met: a leaf goes straight into the result and never into the heap, and
@@ -188,29 +189,27 @@ def _expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
     """
     shift = n.bit_length()
     mask = (1 << shift) - 1
-    chord = _chords(n)
     seen: dict[tuple, list] = {}  # edge codes -> [{column: coefficient}, crossing pair or None]
     todo = []
     for es, col in start.items():
         codes = tuple([t << shift | h for t, h in es])
         seen[codes] = [dict(col), pair := _first_crossing(codes, shift)]
         if pair is not None:
-            todo.append((-_chord_length(n, es), codes))
+            todo.append((-_potential(n, es), codes))
     heapify(todo)
     while todo:
-        neg_length, codes = heappop(todo)
+        key, codes = heappop(todo)
         col, (i, j) = seen.pop(codes)
         x, y = codes[i], codes[j]
         a, b, c, d = x >> shift, x & mask, y >> shift, y & mask
-        crossed = chord[b - a] + chord[d - c]
-        shorter = (chord[c - a] + chord[d - b], chord[d - a] + chord[b - c])
-        assert max(shorter) < crossed - 1e-9, "an exchange must shorten the chords"
-        for child, length in zip(_exchange(codes, i, j, shift), shorter):
+        drops = (2 * (b - c) * (n - d + a), 2 * (c - a) * (d - b))
+        assert min(drops) > 0, "an exchange must lower the potential"
+        for child, drop in zip(_exchange(codes, i, j, shift), drops):
             entry = seen.get(child)
             if entry is None:
                 seen[child] = [col.copy(), pair := _first_crossing(child, shift, i)]
                 if pair is not None:
-                    heappush(todo, (neg_length + crossed - length, child))
+                    heappush(todo, (key + drop, child))
             else:
                 acc = entry[0]
                 for t, k in col.items():
@@ -221,22 +220,10 @@ def _expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
 
 
 def straighten_graph(g: Graph) -> GraphCombination:
-    """Straighten a single graph (any orientations) onto the basis.
-
-    _first_crossing finds the lex-first crossing pair of the canonical
-    sorted edges; the first exchange on it goes through the public
-    plucker_exchange, and straighten expands the two children.
-    """
+    """Straighten a single graph (any orientations) onto the basis: its
+    canonical form, with the flip sign as coefficient, through straighten."""
     cg, sign = canonicalize(g)
-    shift = g.n.bit_length()
-    cross = _first_crossing(tuple([t << shift | h for t, h in cg.edges]), shift)
-    if cross is None:
-        return GraphCombination._of(g.n, [(cg, sign)], cg.multidegree())
-    step = plucker_exchange(cg, *cross)
-    assert all(
-        _chord_length(g.n, h.edges) < _chord_length(g.n, cg.edges) - 1e-9 for h in step.terms
-    ), "an exchange must shorten the chords"
-    return straighten(sign * step)
+    return straighten(GraphCombination._of(g.n, [(cg, sign)], cg.multidegree()))
 
 
 def straighten(c: GraphCombination) -> GraphCombination:

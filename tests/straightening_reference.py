@@ -9,7 +9,9 @@ easy to check by eye.
 reference_expand is the multi-column worklist kernel on (tail, head) edge
 tuples that the int-coded graphinv.straightening._expand replaced, with
 its crossing search and exchange.  It takes and returns the same
-{canonical sorted edges: {column: coefficient}} as _expand.
+{canonical sorted edges: {column: coefficient}} as _expand, but orders its
+worklist by float chord length where _expand uses an int potential, so a
+differential test compares two worklist orders.
 
 Neither is part of the library.
 """
@@ -22,14 +24,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from graphinv.graphs import Graph, canonicalize, crossing_pairs
-from graphinv.straightening import GraphCombination, _chord_length, _chords, plucker_exchange
+from graphinv.straightening import GraphCombination, plucker_exchange
 
 
-def chord_length(g: Graph) -> float:
-    """Total Euclidean chord length with vertices on the unit circle."""
-    n = g.n
+def chord_length(n: int, edges) -> float:
+    """Total Euclidean chord length of edges on n vertices on the unit circle."""
     total = 0.0
-    for t, h in g.edges:
+    for t, h in edges:
         arc = min(abs(t - h), n - abs(t - h))
         total += math.sin(math.pi * arc / n)
     return total
@@ -45,9 +46,9 @@ def _straighten_canonical(g: Graph, memo: dict) -> dict[Graph, Fraction]:
     else:
         e1, e2 = cross[0]
         repl = plucker_exchange(g, e1, e2)
-        before = chord_length(g)
+        before = chord_length(g.n, g.edges)
         for h in repl.terms:
-            assert chord_length(h) < before - 1e-9
+            assert chord_length(h.n, h.edges) < before - 1e-9
         out = {}
         for h, c in repl.terms.items():
             for k, c2 in _straighten_canonical(h, memo).items():
@@ -107,10 +108,9 @@ def reference_expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
     taken.  A pending graph's hint is the number of its parent's edges
     with tail < a, where (a, b) is the first edge of the parent's crossing
     pair; a graph reached from several parents keeps the smallest."""
-    chord = _chords(n)
     # canonical sorted edges -> [{column: coefficient}, hint]
     pending = {es: [dict(col), 0] for es, col in start.items()}
-    todo = [(-_chord_length(n, es), es) for es in pending]
+    todo = [(-chord_length(n, es), es) for es in pending]
     heapify(todo)
     out: dict[tuple, dict] = {}
     while todo:
@@ -122,16 +122,14 @@ def reference_expand(n: int, start: dict[tuple, dict]) -> dict[tuple, dict]:
             for t, k in col.items():
                 acc[t] = acc.get(t, 0) + k
             continue
-        (a, b), (c, d) = es[pair[0]], es[pair[1]]
-        crossed = chord[b - a] + chord[d - c]
-        shorter = (chord[c - a] + chord[d - b], chord[d - a] + chord[b - c])
-        assert max(shorter) < crossed - 1e-9, "an exchange must shorten the chords"
-        r = bisect_left(es, (a, 0))
-        for child, length in zip(reference_exchange(es, *pair), shorter):
+        r = bisect_left(es, (es[pair[0]][0], 0))
+        for child in reference_exchange(es, *pair):
+            length = chord_length(n, child)
+            assert length < -neg_length - 1e-9, "an exchange must shorten the chords"
             entry = pending.get(child)
             if entry is None:
                 pending[child] = [col.copy(), r]
-                heappush(todo, (neg_length + crossed - length, child))
+                heappush(todo, (-length, child))
             else:
                 acc = entry[0]
                 for t, k in col.items():

@@ -221,6 +221,18 @@ def test_straighten(capsys, tmp_path):
     assert out.splitlines() == ["+1 (1-2)(3-4)", "+1 (1-4)(2-3)"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_straighten_on_ten_thousand_points(capsys, tmp_path, fmt):
+    gpath = write_graph(tmp_path, "x.json", 10000, [(1, 4), (2, 5)])
+    code, out, err = run(capsys, "straighten", "--graph", gpath, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "text":
+        assert out.splitlines() == ["+1 (1-2)(4-5)", "+1 (1-5)(2-4)"]
+    else:
+        terms = json.loads(out)["outputs"]["combination"]["terms"]
+        assert terms == [{"coeff": "1", "edges": [[1, 2], [4, 5]]}, {"coeff": "1", "edges": [[1, 5], [2, 4]]}]
+
+
 def test_kempe(capsys, tmp_path):
     gpath = write_graph(tmp_path, "c4.json", 4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     code, out, _ = run(capsys, "kempe", "--graph", gpath, "--format", "json")

@@ -4,7 +4,8 @@ returns 0, 1 or 2 and writes no traceback.
 Documents are drawn well-formed and malformed: graphs, polynomials and
 configurations, as JSON text, as arbitrary JSON values, or as raw text.
 Sizes stay small (at most 8 points, monomials of degree at most 3) so
-that each run is quick."""
+that each run is quick; the one exception is sparse graphs for
+straighten, at most 8 edges on up to 100,000 points."""
 
 import io
 import json
@@ -37,6 +38,17 @@ def graphs(draw, n, max_edges=8):
     """A graph document on n points, usually well formed."""
     vertex = st.integers(0, n + 1) if draw(st.integers(0, 9)) == 0 else st.integers(1, max(n, 1))
     edges = draw(st.lists(st.tuples(vertex, vertex).map(list), max_size=max_edges))
+    return {"n": n, "edges": edges}
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A loopless graph document on up to 100,000 points with at most 8
+    edges, their endpoints in two narrow windows so that edges cross."""
+    n = draw(st.integers(6, 10**5))
+    windows = draw(st.lists(st.integers(1, n - 5), min_size=2, max_size=2))
+    vertex = st.sampled_from(windows).flatmap(lambda w: st.integers(w, w + 5))
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]).map(list), max_size=8))
     return {"n": n, "edges": edges}
 
 
@@ -108,7 +120,10 @@ def invocations(draw):
     argv, stdin, graph = [command, "--format", fmt], "", None
     if command in ("straighten", "kempe"):
         argv += ["--graph", "-"]
-        stdin = draw(documents(st.one_of(regular_graphs(n), graphs(n))))
+        well_formed = st.one_of(regular_graphs(n), graphs(n))
+        if command == "straighten":
+            well_formed = st.one_of(well_formed, sparse_graphs())
+        stdin = draw(documents(well_formed))
     elif command == "check-ideal":
         argv += ["--candidate", "-", f"--n={draw(st.one_of(st.just(n), st.integers(-1, 8)))}"]
         if draw(st.integers(0, 3)) == 0:
@@ -125,14 +140,9 @@ def invocations(draw):
     return argv, stdin, graph
 
 
-@settings(max_examples=200, deadline=None)
-@given(invocations())
-def test_cli_boundary_exits_0_1_or_2_without_traceback(tmp_path_factory, call):
-    argv, stdin, graph = call
-    if graph is not None:
-        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
-        path.write_text(graph)
-        argv = argv + ["--graph", str(path)]
+def run(argv, stdin):
+    """main(argv) with stdin as its standard input: the exit code and the
+    text written to standard output and standard error."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
@@ -141,7 +151,26 @@ def test_cli_boundary_exits_0_1_or_2_without_traceback(tmp_path_factory, call):
             code = main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(invocations())
+def test_cli_boundary_exits_0_1_or_2_without_traceback(tmp_path_factory, call):
+    argv, stdin, graph = call
+    if graph is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        path.write_text(graph)
+        argv = argv + ["--graph", str(path)]
+    code, out, err = run(argv, stdin)
     assert code in (0, 1, 2), (argv, stdin, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out == "" and err.startswith("error: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(), st.sampled_from(["text", "json"]))
+def test_straighten_sparse_graphs_on_many_points(doc, fmt):
+    code, out, err = run(["straighten", "--format", fmt, "--graph", "-"], json.dumps(doc))
+    assert code == 0 and err == "", (doc, code, err)

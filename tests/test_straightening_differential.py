@@ -1,7 +1,9 @@
 """The int-coded straightening kernel against the tuple-edge reference
-kernel it replaced: equal dicts, and an equal int or Fraction type for
-every coefficient, on seeded, structured, large and generated starts; and
-the same normal forms with assertions off, in a ``python -O`` child."""
+kernel it replaced, which orders its worklist by float chord length where
+the kernel uses an int potential: equal dicts, and an equal int or
+Fraction type for every coefficient, on seeded, structured, large and
+generated starts; and the same normal forms with assertions off, in a
+``python -O`` child."""
 
 import hashlib
 import json
@@ -151,8 +153,9 @@ def test_generated_starts_match_the_reference(case):
 
 
 def test_normal_forms_are_equal_with_assertions_off():
-    # the chord-length assertion only guards termination: with it stripped
-    # the kernel still matches the reference and gives the same results
+    # the kernel's one assertion, that an exchange lowers the int potential,
+    # only checks the termination argument: with it stripped the kernel
+    # still matches the reference and gives the same results
     child = (
         "import json, test_straightening_differential as d\n"
         "starts = list(d.all_starts())\n"

@@ -16,7 +16,6 @@ from graphinv.graphs import Graph, canonicalize, crossing_pairs, edges_cross
 from graphinv.relations import ideal_membership, noncrossing_monomial_matrix, segre_cubic, simple_binomial_relations
 from graphinv.straightening import plucker_exchange, straighten_graph
 from straightening_reference import (
-    chord_length,
     reference_exchange,
     reference_first_crossing,
     reference_straighten_graph,
@@ -99,39 +98,66 @@ def test_exchange_matches_plucker_exchange():
         checked += 1
 
 
-def test_exchange_shortens_total_chord_length():
-    # the termination argument: every exchange strictly shortens the chords
+def test_exchange_lowers_the_potential_by_its_drop(monkeypatch):
+    # the termination argument: every exchange lowers the int potential by
+    # a positive drop, and the kernel keys each graph by its potential
+    # negated, the parent's key plus the drop
+    def potential(n, codes, shift):
+        value = straightening._potential(n, decoded(codes, shift))
+        assert type(value) is int and value == sum((h - t) * (n - h + t) for t, h in decoded(codes, shift))
+        return value
+
+    events = []  # ("pop" or "push", heap key, edge codes) in call order
+    pop, push = straightening.heappop, straightening.heappush
+
+    def spy_pop(heap):
+        item = pop(heap)
+        events.append(("pop", *item))
+        return item
+
+    def spy_push(heap, item):
+        events.append(("push", *item))
+        push(heap, item)
+
+    monkeypatch.setattr(straightening, "heappop", spy_pop)
+    monkeypatch.setattr(straightening, "heappush", spy_push)
     rng = random.Random(23)
-    checked = 0
+    checked = pushes = 0
     while checked < 200:
-        n = rng.randint(4, 14)
-        edges = random_canonical_edges(rng, n, rng.randint(2, 10))
+        n = rng.choice((rng.randint(4, 14), rng.randint(15, 400), rng.randint(400, 10**5)))
+        edges = random_canonical_edges(rng, n, rng.randint(2, 7))
         codes, shift = coded(n, edges)
         pair = straightening._first_crossing(codes, shift)
         if pair is None:
             continue
-        before = chord_length(Graph(n, edges))
-        assert math.isclose(straightening._chord_length(n, edges), before)
-        for child in straightening._exchange(codes, *pair, shift):
-            assert chord_length(Graph(n, decoded(child, shift))) < before - 1e-9
+        (a, b), (c, d) = edges[pair[0]], edges[pair[1]]
+        drops = (2 * (b - c) * (n - d + a), 2 * (c - a) * (d - b))
+        before = potential(n, codes, shift)
+        for child, drop in zip(straightening._exchange(codes, *pair, shift), drops):
+            assert 0 < drop == before - potential(n, child, shift)
+        events.clear()
+        straightening._expand(n, {edges: {0: 1}})
+        keys = [key for kind, key, _ in events if kind == "pop"]
+        assert keys == sorted(keys) and keys[0] == -before
+        for kind, key, child in events:
+            assert key == -potential(n, child, shift)
+            if kind == "pop":
+                parent = key
+            else:
+                assert key > parent
+                pushes += 1
         checked += 1
+    assert pushes > 200
 
 
 def test_expand_is_right_in_any_order(monkeypatch):
-    # With every start graph at length 0 the leaf (12)(34) is taken before
-    # (13)(24), whose exchange then reaches it again.
-    monkeypatch.setattr(straightening, "_chord_length", lambda n, edges: 0.0)
+    # With every start graph at potential 0 the heap cannot tell them
+    # apart; the leaf (12)(34) is a start graph, and the exchange of
+    # (13)(24) reaches it again.
+    monkeypatch.setattr(straightening, "_potential", lambda n, edges: 0)
     crossing, leaf = ((1, 3), (2, 4)), ((1, 2), (3, 4))
     got = straightening._expand(4, {crossing: {0: 1, 1: Fraction(-1, 2)}, leaf: {0: 1, 2: 3}})
     assert got == {leaf: {0: 2, 1: Fraction(-1, 2), 2: 3}, ((1, 4), (2, 3)): {0: 1, 1: Fraction(-1, 2)}}
-
-
-def test_chord_table():
-    for n in (4, 7, 12):
-        table = straightening._chords(n)
-        assert len(table) == n
-        for s in range(1, n):
-            assert math.isclose(table[s], math.sin(math.pi * min(s, n - s) / n))
 
 
 def test_normal_form_coefficients_are_positive_ints():
