@@ -220,7 +220,7 @@ def check_oracle_property_suites(base_seed: int):
                 configs = [
                     random_stable_configuration(w, seed=rng.randrange(2**30)) for _ in range(k)
                 ]
-                m = RationalMatrix.from_columns([[evaluate(b, c) for c in configs] for b in basis])
+                m = RationalMatrix.from_columns([{i: evaluate(b, c) for i, c in enumerate(configs)} for b in basis], k)
                 if rank(m) == k:
                     full = True
                     break

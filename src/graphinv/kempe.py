@@ -12,8 +12,6 @@ d-regular graph on sum(w) vertices.
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -108,6 +106,13 @@ def hall_matching(g: Graph, b: Bipartition) -> Graph:
     order, takes its smallest free neighbor; only if none is free does it
     displace along an augmenting path (again in increasing vertex order).
     Regularity guarantees Hall's condition, so this always succeeds.
+
+    The path search is depth-first from an explicit stack, so a long path
+    nests no calls, and it enters each negative vertex once per search.
+    That finds the path a search avoiding only its current path finds: if
+    v failed under path P and a later path P' reaches it, a way on from v
+    that avoids P' meets P, and from its meeting point b nearest P's root
+    it would have served b's subtree, which failed before P' was tried.
     """
     _check_neutral_regular(g, b)
     adj: dict[int, list[int]] = {u: [] for u in sorted(b.positives)}
@@ -119,20 +124,31 @@ def hall_matching(g: Graph, b: Bipartition) -> Graph:
         adj[u].sort()
     match: dict[int, int] = {}
 
-    def assign(u: int, banned: frozenset[int]) -> bool:
-        nbrs = [v for v in adj[u] if v not in banned]
-        for v in nbrs:
-            if v not in match:
-                match[v] = u
+    def assign(u: int) -> bool:
+        stack = []  # [vertex, iterator over its neighbors, the one it displaces through]
+        seen: set[int] = set()
+        while True:
+            free = next((v for v in adj[u] if v not in match), None)
+            if free is not None:
+                match[free] = u
+                for w, _, v in stack:
+                    match[v] = w
                 return True
-        for v in nbrs:
-            if assign(match[v], banned | {v}):
-                match[v] = u
-                return True
-        return False
+            stack.append([u, iter(adj[u]), None])
+            while stack:
+                top = stack[-1]
+                v = next((v for v in top[1] if v not in seen), None)
+                if v is not None:
+                    top[2] = v
+                    seen.add(v)
+                    u = match[v]
+                    break
+                stack.pop()
+            else:
+                return False
 
     for u in adj:
-        if not assign(u, frozenset()):
+        if not assign(u):
             raise NotNeutralRegular(f"no perfect matching found in {g!r}")
     edges = sorted((u, v) if u < v else (v, u) for v, u in match.items())
     return Graph(g.n, edges)
@@ -148,6 +164,8 @@ def neutralize(g: Graph, b: Bipartition) -> GraphCombination:
     an exchange touches only its own pair and turns it into two neutral
     edges, so the other positive edges keep their order, the k-th smallest
     always meets the k-th smallest negative one, and the exchanges commute.
+    The product is taken pair by pair, merging equal edge tuples after each
+    step, so k equal pairs give k + 1 terms, not 2^k.
     """
     if g.regular_valence() is None:
         raise NotRegular(f"graph with multidegree {g.multidegree()} is not regular")
@@ -155,11 +173,15 @@ def neutralize(g: Graph, b: Bipartition) -> GraphCombination:
         raise NotRegular(f"graph on {g.n} vertices, bipartition of {b.n}")
     cg, sign = canonicalize(g)
     pos, neg, neutral = ([e for e in cg.edges if b.edge_side(e) == s] for s in (1, -1, 0))
-    factors = [plucker_exchange(Graph(g.n, pair), 0, 1).terms.items() for pair in zip(pos, neg)]
-    terms = []
-    for choice in itertools.product(*factors):
-        edges = neutral + [e for h, _ in choice for e in h.edges]
-        terms.append((Graph(g.n, edges), sign * math.prod(c for _, c in choice)))
+    acc: dict[tuple, int] = {(): sign}
+    for pair in zip(pos, neg):
+        step: dict[tuple, int] = {}
+        for h, c in plucker_exchange(Graph(g.n, pair), 0, 1).terms.items():
+            for edges, a in acc.items():
+                key = tuple(sorted(edges + h.edges))
+                step[key] = step.get(key, 0) + a * c
+        acc = {edges: a for edges, a in step.items() if a}
+    terms = [(Graph(g.n, neutral + list(edges)), a) for edges, a in acc.items()]
     return GraphCombination(g.n, terms, g.multidegree())
 
 

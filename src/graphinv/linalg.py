@@ -1,11 +1,13 @@
 """Exact rational linear algebra: rank, kernel bases, span membership.
 
-Matrices are stored as sparse columns ({row: value}, int wherever a value
-is integral).  One fraction-free elimination pass serves all three: it
-scales each column to integers by the lcm of its denominators, inserts it
-into a sparse column-echelon that can track how each row was formed from
-the original columns, and yields each column that depends on the earlier
-ones.  rank counts them, kernel_basis reads each as a kernel vector, and
+Matrices are given and stored as sparse columns ({row: value}, int wherever
+a value is integral); that is the one input form, for columns and span
+targets alike.  One fraction-free elimination pass serves all three
+operations: it scales each column to integers by the lcm of its
+denominators, inserts it into a sparse column-echelon that can track how
+each row was formed from the original columns, and yields each column that
+depends on the earlier ones, with that dependency over the original
+columns.  rank counts them, kernel_basis reads each as a kernel vector, and
 in_span adds its target as a last column and reads the target's own
 dependency as the certificate.  Rows are renumbered lightest first, so the
 sparsest rows become pivots and fill-in stays low (structured Gaussian
@@ -26,23 +28,15 @@ from .graphs import _exact
 _ZERO = Fraction(0)
 
 
-def _sparse(items: Iterable[tuple[int, object]]) -> dict[int, int | Fraction]:
-    return {i: x for i, v in items if (x := v if type(v) is int else _exact(v))}
-
-
-def _column(c: Sequence | Mapping[int, object], height: int) -> dict[int, int | Fraction]:
-    """A dense sequence of length height, or a {row: value} mapping with
-    int rows in 0..height-1, as a sparse column."""
-    if isinstance(c, Mapping):
-        if {*map(type, c)} - {int} and any(not isinstance(i, int) or isinstance(i, bool) for i in c):
-            raise DimensionMismatch("a row index that is not an int")
-        if c and (min(c) < 0 or max(c) >= height):
-            raise DimensionMismatch(f"a row index outside 0..{height - 1}")
-        return _sparse(c.items())
-    c = tuple(c)
-    if len(c) != height:
-        raise DimensionMismatch(f"vector of length {len(c)} against {height} rows")
-    return _sparse(enumerate(c))
+def _column(c: Mapping[int, object], height: int) -> dict[int, int | Fraction]:
+    """A {row: value} mapping with int rows in 0..height-1 as a sparse column."""
+    if not isinstance(c, Mapping):
+        raise DimensionMismatch(f"a {type(c).__name__} where a {{row: value}} mapping belongs")
+    if {*map(type, c)} - {int} and any(not isinstance(i, int) or isinstance(i, bool) for i in c):
+        raise DimensionMismatch("a row index that is not an int")
+    if c and (min(c) < 0 or max(c) >= height):
+        raise DimensionMismatch(f"a row index outside 0..{height - 1}")
+    return {i: x for i, v in c.items() if (x := v if type(v) is int else _exact(v))}
 
 
 class RationalMatrix:
@@ -50,13 +44,8 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "_columns")
 
-    def __init__(self, entries: Iterable[Iterable]):
-        rows = [tuple(row) for row in entries]
-        width = len(rows[0]) if rows else 0
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatch("ragged rows")
-        self.rows, self.cols = len(rows), width
-        self._columns = tuple(_sparse((i, r[j]) for i, r in enumerate(rows)) for j in range(width))
+    def __init__(self, *args, **kwargs):
+        raise DimensionMismatch("build a RationalMatrix with from_columns({row: value} columns, height)")
 
     @classmethod
     def _of(cls, height: int, columns: list[dict[int, int | Fraction]]) -> "RationalMatrix":
@@ -65,15 +54,8 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def from_columns(
-        cls, columns: Sequence[Sequence | Mapping[int, object]], height: int | None = None
-    ) -> "RationalMatrix":
-        """Columns given densely, or as {row: value} mappings with height."""
-        columns = [c if isinstance(c, Mapping) else tuple(c) for c in columns]
-        if height is None:
-            if any(isinstance(c, Mapping) for c in columns):
-                raise DimensionMismatch("sparse columns need a height")
-            height = len(columns[0]) if columns else 0
+    def from_columns(cls, columns: Iterable[Mapping[int, object]], height: int) -> "RationalMatrix":
+        """The matrix with these {row: value} columns and height rows."""
         return cls._of(height, [_column(c, height) for c in columns])
 
     @property
@@ -84,10 +66,6 @@ class RationalMatrix:
             for i, v in col.items():
                 dense[i][j] = Fraction(v)
         return tuple(map(tuple, dense))
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        col = self._columns[j]
-        return tuple(Fraction(col[i]) if i in col else _ZERO for i in range(self.rows))
 
     def matvec(self, x: Sequence) -> tuple[Fraction, ...]:
         if len(x) != self.cols:
@@ -184,7 +162,7 @@ class _Echelon:
         Returns the leading surviving index, or None when vec reduces to
         zero.  expr, when given, is scaled and updated alongside with the
         rows' provenance, so vec stays sum(expr[j] * column_j) over the
-        inserted columns when expr starts as {j: 1} for vec = column_j."""
+        original columns when expr starts as {j: s} for vec = s * column_j."""
         heap = sorted(vec)
         while heap:
             p = heapq.heappop(heap)
@@ -230,18 +208,17 @@ class _Echelon:
 
 def _dependencies(m: RationalMatrix, target: dict | None = None, provenance: bool = True):
     """Insert m's columns, then target as column m.cols, into one echelon,
-    rows renumbered lightest first by m alone.  Yields (j, expr, scales) for
-    each column j dependent on those before it: 0 = sum expr[c] * scales[c]
-    * column_c, with expr[j] != 0 (expr is None with provenance off)."""
+    rows renumbered lightest first by m alone.  Yields (j, expr) for each
+    column j dependent on those before it: 0 = sum expr[c] * column_c over
+    the original columns, with expr[j] != 0 (expr is None with provenance
+    off)."""
     new = _light_first(m)
     ech = _Echelon()
-    scales = []
     for j, col in enumerate(m._columns if target is None else (*m._columns, target)):
         vec, s = _scaled(col, new)
-        scales.append(s)
-        expr = {j: 1} if provenance else None
+        expr = {j: s} if provenance else None
         if ech.insert(vec, expr) is None:
-            yield j, expr, scales
+            yield j, expr
 
 
 def rank(m: RationalMatrix) -> int:
@@ -265,27 +242,23 @@ def _primitive(x: Mapping[int, int], length: int) -> tuple[Fraction, ...]:
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Primitive-integer basis of the right kernel, one vector per
     dependent column, in column order; length = cols - rank."""
-    return [
-        _primitive({c: val * scales[c] for c, val in expr.items()}, m.cols)
-        for _, expr, scales in _dependencies(m)
-    ]
+    return [_primitive(expr, m.cols) for _, expr in _dependencies(m)]
 
 
-def in_span(v: Sequence | Mapping[int, object], m: RationalMatrix) -> tuple[Fraction, ...] | None:
+def in_span(v: Mapping[int, object], m: RationalMatrix) -> tuple[Fraction, ...] | None:
     """Certificate x with m @ x = v, or None when v is outside the column
-    span.  v is dense, or a {row: value} mapping.  The certificate is the
-    unique solution supported on the greedy independent columns, and it is
-    re-verified exactly before returning."""
+    span.  v is a {row: value} mapping, like a column.  The certificate is
+    the unique solution supported on the greedy independent columns, and it
+    is re-verified exactly before returning."""
     target = _column(v, m.rows)
     t = m.cols
-    for j, expr, scales in _dependencies(m, target):
+    for j, expr in _dependencies(m, target):
         if j == t:
             break
     else:
         return None
-    # 0 = expr[t] * s_t * v + sum expr[c] * s_c * column_c
-    den = expr[t] * scales[t]
-    x = tuple(Fraction(-expr[c] * scales[c], den) if c in expr else _ZERO for c in range(t))
+    # 0 = expr[t] * v + sum expr[c] * column_c
+    x = tuple(Fraction(-expr[c], expr[t]) if c in expr else _ZERO for c in range(t))
     if m.matvec(x) != tuple(target.get(i, _ZERO) for i in range(m.rows)):
         raise AssertionError("span certificate failed re-verification")
     return x

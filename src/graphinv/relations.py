@@ -368,7 +368,7 @@ def ideal_membership(
         mono_row: dict[tuple, int] = {}
         cols = [{mono_row.setdefault(mono, len(mono_row)): c for mono, c in reduced[gi].items()} for gi in gis]
         gens = RationalMatrix._of(len(mono_row), cols)
-        redundant.update(gis[j] for j, _, _ in _dependencies(gens, provenance=False))
+        redundant.update(gis[j] for j, _ in _dependencies(gens, provenance=False))
 
     cofactors: dict[int, list[tuple]] = {}
     # cofactor -> {monomial: index of monomial * cofactor}, filled as met:

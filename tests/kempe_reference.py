@@ -1,9 +1,14 @@
-"""Reference neutralization for differential tests.
+"""Reference neutralization and Hall matching for differential tests.
 
-This is the worklist that graphinv.kempe.neutralize replaced: it exchanges
-the smallest positive edge with the smallest negative edge of each graph
-through plucker_exchange until no positive edge is left, and merges the
-graphs only at the end.  It is not part of the library.
+reference_neutralize is the worklist that graphinv.kempe.neutralize
+replaced: it exchanges the smallest positive edge with the smallest
+negative edge of each graph through plucker_exchange until no positive edge
+is left, and merges the graphs only at the end.  reference_hall_matching is
+the recursive augmenting-path search that graphinv.kempe.hall_matching
+replaced: it avoids only the vertices on its current path, nests one call
+per step of a path and may search a failed branch again from every path
+that reaches it, so it only serves graphs whose paths stay short.  Neither
+is part of the library.
 """
 
 from __future__ import annotations
@@ -33,3 +38,31 @@ def reference_neutralize(g: Graph, b: Bipartition) -> GraphCombination:
         for h2, c2 in repl.terms.items():
             work.append((h2, coeff * c2))
     return GraphCombination._of(g.n, done, g.multidegree())
+
+
+def reference_hall_matching(g: Graph, b: Bipartition) -> Graph:
+    """hall_matching by recursion; g is assumed neutral and regular."""
+    adj: dict[int, list[int]] = {u: [] for u in sorted(b.positives)}
+    for e in g.edges:
+        u, v = (e[0], e[1]) if e[0] in b.positives else (e[1], e[0])
+        if v not in adj[u]:
+            adj[u].append(v)
+    for u in adj:
+        adj[u].sort()
+    match: dict[int, int] = {}
+
+    def assign(u: int, banned: frozenset[int]) -> bool:
+        nbrs = [v for v in adj[u] if v not in banned]
+        for v in nbrs:
+            if v not in match:
+                match[v] = u
+                return True
+        for v in nbrs:
+            if assign(match[v], banned | {v}):
+                match[v] = u
+                return True
+        return False
+
+    for u in adj:
+        assert assign(u, frozenset()), f"no perfect matching found in {g!r}"
+    return Graph(g.n, sorted((u, v) if u < v else (v, u) for v, u in match.items()))

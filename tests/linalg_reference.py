@@ -4,7 +4,9 @@ This is the dense-input, Fraction-valued column echelon that the sparse
 integer elimination in graphinv.linalg replaced.  It reads a matrix only
 through its dense ``entries`` view, divides every stored row by its pivot,
 and re-checks a span certificate with a dense product, so it is slow but
-easy to check by eye.  It is not part of the library.
+easy to check by eye.  It is not part of the library.  from_rows builds a
+matrix from dense rows for tests that write one out, since the library
+takes sparse columns only.
 """
 
 from __future__ import annotations
@@ -76,14 +78,22 @@ class _Echelon:
         return p
 
 
-def _columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
+def from_rows(rows) -> RationalMatrix:
+    """The matrix with these dense rows, as {row: value} columns."""
+    rows = [tuple(r) for r in rows]
+    width = len(rows[0]) if rows else 0
+    return RationalMatrix.from_columns([{i: r[j] for i, r in enumerate(rows)} for j in range(width)], len(rows))
+
+
+def columns(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    """m's columns as {row: value} mappings, read from m.entries."""
     entries = m.entries
     return [{i: entries[i][j] for i in range(m.rows) if entries[i][j]} for j in range(m.cols)]
 
 
 def rank(m: RationalMatrix) -> int:
     ech = _Echelon()
-    return sum(ech.insert(col, None) is not None for col in _columns(m))
+    return sum(ech.insert(col, None) is not None for col in columns(m))
 
 
 def _primitive(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -108,7 +118,7 @@ def _primitive(x: Sequence[Fraction]) -> tuple[Fraction, ...]:
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     ech = _Echelon()
     out = []
-    for j, col in enumerate(_columns(m)):
+    for j, col in enumerate(columns(m)):
         expr = {j: Fraction(1)}
         if ech.insert(col, expr) is None:
             x = [_ZERO] * m.cols
@@ -122,7 +132,7 @@ def in_span(v: Sequence, m: RationalMatrix) -> tuple[Fraction, ...] | None:
     v = [Fraction(x) for x in v]
     assert len(v) == m.rows
     ech = _Echelon()
-    for j, col in enumerate(_columns(m)):
+    for j, col in enumerate(columns(m)):
         ech.insert(col, {j: Fraction(1)})
     qvec = {i: x for i, x in enumerate(v) if x}
     qexpr: dict[int, Fraction] = {}

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import graphinv
 from graphinv.cli import _build_parser, main
+from test_kempe import neutral_regular
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # The directory holding the imported package, so that a child interpreter
@@ -241,6 +243,17 @@ def test_kempe(capsys, tmp_path):
     prods = rep["outputs"]["products"]
     assert len(prods) == 2
     assert all(len(p["factors"]) == 2 for p in prods)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_kempe_on_a_neutral_graph_with_long_augmenting_paths(capsys, tmp_path, fmt):
+    g = neutral_regular(random.Random(2000), 2000, 3)
+    gpath = write_graph(tmp_path, "neutral.json", g.n, g.edges)
+    code, out, err = run(capsys, "kempe", "--graph", gpath, "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        (product,) = json.loads(out)["outputs"]["products"]
+        assert len(product["factors"]) == 3
 
 
 def test_check_ideal_segre6(capsys):

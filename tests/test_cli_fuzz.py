@@ -4,11 +4,15 @@ returns 0, 1 or 2 and writes no traceback.
 Documents are drawn well-formed and malformed: graphs, polynomials and
 configurations, as JSON text, as arbitrary JSON values, or as raw text.
 Sizes stay small (at most 8 points, monomials of degree at most 3) so
-that each run is quick; the one exception is sparse graphs for
-straighten, at most 8 edges on up to 100,000 points."""
+that each run is quick.  The exceptions are sparse graphs for straighten,
+at most 8 edges on up to 100,000 points, and two kinds of regular graph
+for kempe: a perfect matching with each pair repeated up to 40 times, and
+neutral regular graphs on up to 4,000 points, whose augmenting paths run
+long."""
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -64,6 +68,35 @@ def regular_graphs(draw, n):
     """A union of perfect matchings on even n: a regular graph for kempe."""
     parts = draw(st.lists(matchings(n), min_size=1, max_size=3))
     return {"n": n, "edges": [e for m in parts for e in m["edges"]]}
+
+
+@st.composite
+def repeated_pairs(draw):
+    """A perfect matching on n <= 8 points with one pair inside each half
+    of the kempe bipartition, every pair repeated k <= 40 times."""
+    n = draw(st.sampled_from([4, 6, 8]))
+    pos = draw(st.permutations(range(1, n // 2 + 1)))
+    neg = draw(st.permutations(range(n // 2 + 1, n + 1)))
+    pairs = [pos[:2], neg[:2]] + [[u, v] for u, v in zip(pos[2:], neg[2:])]
+    return {"n": n, "edges": pairs * draw(st.integers(1, 40))}
+
+
+@st.composite
+def neutral_regular_graphs(draw):
+    """A regular graph on up to 4,000 points whose every edge crosses the
+    kempe bipartition: up to 3 seeded matchings of the halves, often 3 on
+    3,800 points or more, where augmenting paths run longest."""
+    half, d = draw(st.one_of(
+        st.tuples(st.integers(1, 2000), st.integers(1, 3)),
+        st.tuples(st.integers(1900, 2000), st.just(3)),
+    ))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = []
+    for _ in range(d):
+        p = list(range(half + 1, 2 * half + 1))
+        rng.shuffle(p)
+        edges += [[i + 1, p[i]] for i in range(half)]
+    return {"n": 2 * half, "edges": edges}
 
 
 @st.composite
@@ -123,6 +156,8 @@ def invocations(draw):
         well_formed = st.one_of(regular_graphs(n), graphs(n))
         if command == "straighten":
             well_formed = st.one_of(well_formed, sparse_graphs())
+        else:
+            well_formed = st.one_of(well_formed, repeated_pairs(), neutral_regular_graphs())
         stdin = draw(documents(well_formed))
     elif command == "check-ideal":
         argv += ["--candidate", "-", f"--n={draw(st.one_of(st.just(n), st.integers(-1, 8)))}"]
@@ -174,3 +209,10 @@ def test_cli_boundary_exits_0_1_or_2_without_traceback(tmp_path_factory, call):
 def test_straighten_sparse_graphs_on_many_points(doc, fmt):
     code, out, err = run(["straighten", "--format", fmt, "--graph", "-"], json.dumps(doc))
     assert code == 0 and err == "", (doc, code, err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(repeated_pairs(), neutral_regular_graphs()), st.sampled_from(["text", "json"]))
+def test_kempe_repeated_pairs_and_neutral_graphs(doc, fmt):
+    code, out, err = run(["kempe", "--format", fmt, "--graph", "-"], json.dumps(doc))
+    assert code == 0 and err == "", (doc["n"], len(doc["edges"]), code, err)

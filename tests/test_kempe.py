@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from graphinv.kempe import (
     neutralize,
 )
 
-from kempe_reference import reference_neutralize
+from kempe_reference import reference_hall_matching, reference_neutralize
 
 
 def configs_for(n):
@@ -32,6 +34,17 @@ def eval_products(products, c):
             v *= evaluate(f, c)
         total += v
     return total
+
+
+def neutral_regular(rng, half, d):
+    """A neutral d-regular graph on 2 * half vertices: d random matchings
+    of 1..half onto half+1..2*half."""
+    edges = []
+    for _ in range(d):
+        p = list(range(half + 1, 2 * half + 1))
+        rng.shuffle(p)
+        edges += [(i + 1, p[i]) for i in range(half)]
+    return Graph(2 * half, edges)
 
 
 def random_regular(rng, n, d):
@@ -111,6 +124,27 @@ def test_hall_matching_is_submultiset_property():
             pool.remove(e)
 
 
+def test_hall_matching_matches_recursive_reference():
+    # graphs large enough for long augmenting paths, small enough for the
+    # reference's recursion
+    rng = random.Random(2718)
+    for _ in range(40):
+        g = neutral_regular(rng, rng.randint(2, 300), rng.randint(1, 4))
+        b = Bipartition.halves(g.n)
+        assert hall_matching(g, b) == reference_hall_matching(g, b), g
+
+
+@pytest.mark.parametrize("seed, half", [(2000, 2000), (2, 4000)])
+def test_kempe_on_a_neutral_graph_with_long_augmenting_paths(seed, half):
+    # the augmenting paths of the first graph run past the default
+    # recursion limit; a search that enters a vertex again from each path
+    # reaching it does not finish on the second within minutes
+    g = neutral_regular(random.Random(seed), half, 3)
+    (product,) = kempe_decompose(g)
+    assert product.coeff == 1 and len(product.factors) == 3
+    assert sorted(e for f in product.factors for e in f.edges) == sorted(g.edges)
+
+
 def test_hall_matching_rejects_bad_input():
     b = Bipartition.halves(4)
     with pytest.raises(NotNeutralRegular):
@@ -164,6 +198,26 @@ def test_neutralize_matches_reference():
         got, want = neutralize(g, b), reference_neutralize(g, b)
         assert list(got.terms.items()) == list(want.terms.items()), (g, b)
         assert (got.n, got.degree) == (want.n, want.degree)
+
+
+def test_neutralize_repeated_pairs_merges_per_pair():
+    # (1,2)^k (3,4)^k = ((1,3)(2,4) - (1,4)(2,3))^k: k + 1 binomial terms
+    b = Bipartition.halves(4)
+    for k in (1, 2, 5, 10):
+        g = Graph(4, [(1, 2)] * k + [(3, 4)] * k)
+        got, want = neutralize(g, b), reference_neutralize(g, b)
+        assert list(got.terms.items()) == list(want.terms.items())
+    for k in (17, 40):
+        g = Graph(4, [(1, 2)] * k + [(3, 4)] * k)
+        t0 = time.perf_counter()
+        got = neutralize(g, b)
+        assert time.perf_counter() - t0 < 1
+        want = {
+            Graph(4, [(1, 3), (2, 4)] * m + [(1, 4), (2, 3)] * (k - m)): (-1) ** (k - m) * math.comb(k, m)
+            for m in range(k + 1)
+        }
+        assert got.terms == want
+        assert len(kempe_decompose(g)) == k + 1
 
 
 def test_neutralize_rejects_irregular():

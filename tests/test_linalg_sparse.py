@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import linalg_reference as ref
 from graphinv import relations
 from graphinv.errors import DimensionMismatch
-from graphinv.linalg import RationalMatrix, in_span, kernel_basis, rank
+from graphinv.linalg import RationalMatrix, _dependencies, in_span, kernel_basis, rank
 from graphinv.relations import ideal_membership, quadric_relation_space, segre_cubic, simple_binomial_relations
 from test_linalg import dense_rank_oracle
 
@@ -46,12 +46,10 @@ def assert_same_as_reference(m, targets):
     assert rank(m) == ref.rank(m) == dense_rank_oracle(m.entries)
     assert repr(kernel_basis(m)) == repr(ref.kernel_basis(m))
     for v in targets:
-        dense = [Fraction(v.get(i, 0)) for i in range(m.rows)]
-        want = ref.in_span(dense, m)
-        assert repr(in_span(dense, m)) == repr(want)
+        want = ref.in_span([Fraction(v.get(i, 0)) for i in range(m.rows)], m)
         assert repr(in_span(v, m)) == repr(want)
         # the certificate is the dependency of v as a last column of [m | v]
-        mv = RationalMatrix.from_columns([*map(m.column, range(m.cols)), dense], height=m.rows)
+        mv = RationalMatrix.from_columns([*ref.columns(m), v], height=m.rows)
         if rank(mv) > rank(m):
             assert want is None
         else:
@@ -102,20 +100,39 @@ def test_fully_dependent_and_empty_matrices():
     lambda r: st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=1, max_size=6)
 ))
 def test_small_integer_matrices_match_reference(rows):
-    m = RationalMatrix(rows)
+    m = ref.from_rows(rows)
     rng = random.Random(repr(rows))
     assert_same_as_reference(m, targets_for(rng, m, False) + targets_for(rng, m, True))
 
 
-def test_sparse_and_dense_columns_agree():
-    dense = RationalMatrix.from_columns([[1, 0, "1/2"], [0, 0, 0], [Fraction(4, 2), 3, 0]])
-    sparse = RationalMatrix.from_columns([{0: 1, 2: Fraction(1, 2)}, {}, {0: 2, 1: 3, 2: 0}], height=3)
-    assert dense == sparse
-    assert sparse.entries == ((1, 0, 2), (0, 0, 3), (Fraction(1, 2), 0, 0))
-    assert all(type(x) is Fraction for row in sparse.entries for x in row)
-    assert sparse.column(2) == (2, 3, 0)
-    assert sparse.matvec([2, 5, Fraction(1, 2)]) == (3, Fraction(3, 2), 1)
-    assert sparse != RationalMatrix.from_columns([{0: 1}, {}, {0: 2, 1: 3}], height=3)
+def test_fractional_columns_with_a_planted_dependency_match_reference():
+    """Columns with denominators, so that each is scaled by more than 1
+    before elimination, and one column a rational combination of earlier
+    ones: each dependency is over the original columns, and kernels and
+    certificates equal the reference's."""
+    rng = random.Random(4141)
+    for t in range(80):
+        nrows, ncols = rng.randint(1, 8), rng.randint(2, 8)
+        cols = [
+            {i: Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 7)) for i in range(nrows) if rng.random() < 0.6}
+            for _ in range(ncols)
+        ]
+        at = rng.randint(1, ncols)
+        used = rng.sample(range(at), rng.randint(1, at))
+        coeffs = {c: Fraction(rng.randint(1, 4) * rng.choice((-1, 1)), rng.randint(1, 5)) for c in used}
+        planted = {}
+        for c, a in coeffs.items():
+            for i, v in cols[c].items():
+                planted[i] = planted.get(i, 0) + a * v
+        cols.insert(at, planted)
+        m = RationalMatrix.from_columns(cols, height=nrows)
+        deps = list(_dependencies(m))
+        assert at in {j for j, _ in deps}
+        for j, expr in deps:
+            assert expr[j] and max(expr) == j
+            x = [expr.get(c, 0) for c in range(m.cols)]
+            assert m.matvec(x) == (Fraction(0),) * nrows, (t, j)
+        assert_same_as_reference(m, targets_for(rng, m, True) + [planted])
 
 
 def test_matvec_matches_the_row_by_row_sum():
@@ -131,7 +148,7 @@ def test_matvec_matches_the_row_by_row_sum():
         want = tuple(sum((a * Fraction(b) for a, b in zip(row, x)), Fraction(0)) for row in m.entries)
         assert repr(m.matvec(x)) == repr(want)
         assert repr(m.matvec([str(b) for b in x])) == repr(want)
-    m = RationalMatrix([[1, 2]])
+    m = ref.from_rows([[1, 2]])
     for bad in (None, "", "one"):
         for x in ([bad, 1], [0, bad]):
             with pytest.raises((TypeError, ValueError)):
@@ -139,7 +156,7 @@ def test_matvec_matches_the_row_by_row_sum():
 
 
 def test_sparse_columns_are_checked():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(TypeError):
         RationalMatrix.from_columns([{0: 1}])  # no height
     with pytest.raises(DimensionMismatch):
         RationalMatrix.from_columns([{3: 1}], height=3)
@@ -153,7 +170,7 @@ def test_sparse_columns_are_checked():
     with pytest.raises(DimensionMismatch):
         RationalMatrix.from_columns([{0: 1, 5: 0, -2: 0}], height=3)
     with pytest.raises(DimensionMismatch):
-        in_span({7: 0, 0: 2}, RationalMatrix.from_columns([[1, 0, 0]]))
+        in_span({7: 0, 0: 2}, RationalMatrix.from_columns([{0: 1}], height=3))
     # a row index must be an int, and not a bool
     for key in (1.5, "a", True, Fraction(1), None):
         with pytest.raises(DimensionMismatch):

@@ -113,13 +113,8 @@ def test_binomials_span_quadric_space():
     reduced = [reduce_to_noncrossing_vars(r) for r in simple_binomial_relations(8)]
     monos = noncrossing_monomials(8, 2)
     index = {m: t for t, m in enumerate(monos)}
-    cols = []
-    for r in reduced:
-        v = [Fraction(0)] * len(monos)
-        for mono, c in r.terms.items():
-            v[index[mono]] = c
-        cols.append(v)
-    assert rank(RationalMatrix.from_columns(cols)) == 14
+    cols = [{index[mono]: c for mono, c in r.terms.items()} for r in reduced]
+    assert rank(RationalMatrix.from_columns(cols, height=len(monos))) == 14
 
 
 def test_noncrossing_monomials():
