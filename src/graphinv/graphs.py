@@ -341,6 +341,14 @@ class Combination:
         c._merge(n, pairs, degree)
         return c
 
+    @classmethod
+    def _sorted(cls, n: int, terms: dict, degree):
+        """Trusted constructor: terms already merged, nonzero, exact and in
+        the subclass's order, as _of would leave them."""
+        c = object.__new__(cls)
+        c.n, c.degree, c.terms = n, degree, terms
+        return c
+
     def _merge(self, n: int, pairs, degree) -> None:
         acc: dict = {}
         for key, coeff in pairs:

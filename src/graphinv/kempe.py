@@ -208,9 +208,15 @@ def kempe_decompose(g: Graph) -> list[MatchingProduct]:
         for _ in range(d):
             m = hall_matching(residual, b)
             factors.append(m)
-            remaining = list(residual.edges)
-            for e in m.edges:
-                remaining.remove(e)
+            # drop the first occurrence of each matched edge in one pass;
+            # a matching holds each edge once
+            drop = set(m.edges)
+            remaining = []
+            for e in residual.edges:
+                if e in drop:
+                    drop.remove(e)
+                else:
+                    remaining.append(e)
             residual = Graph(g.n, remaining)
         assert not residual.edges
         out.append(MatchingProduct(coeff, factors))

@@ -114,21 +114,29 @@ def _canonical_monomial(n: int, *factors: tuple[tuple[int, int], ...]) -> tuple[
 
 def plucker_linear_relations(n: int) -> list[GraphCombination]:
     """Three-term exchange relations among matchings: for each four vertices
-    i<j<k<l and each matching of the rest, {ij,kl} - {ik,jl} + {il,jk}."""
+    i<j<k<l and each matching of the rest, {ij,kl} - {ik,jl} + {il,jk}.
+
+    The matchings of 1..n-4 are enumerated once and relabelled onto each
+    complement; the relabelling keeps vertex order, so it keeps their
+    order too.  The three terms agree up to the edge at i, where
+    ij < ik < il, so they come in that order, and each distinct matching
+    is one Graph shared by every relation that holds it."""
     _check_vertex_count(n, 4)
     degree = (1,) * n
+    template = [g.edges for g in enumerate_matchings(n, range(1, n - 3))]
+    graphs: dict[tuple, Graph] = {}
+
+    def graph(edges):
+        es = tuple(sorted(edges))
+        return graphs.get(es) or graphs.setdefault(es, Graph._canonical(n, es))
+
     out = []
-    for quad in itertools.combinations(range(1, n + 1), 4):
-        i, j, k, l = quad
-        rest = [v for v in range(1, n + 1) if v not in quad]
-        for gamma in enumerate_matchings(n, rest):
-            base = gamma.edges
-            terms = (
-                (_canonical_graph(n, base + ((i, j), (k, l))), 1),
-                (_canonical_graph(n, base + ((i, k), (j, l))), -1),
-                (_canonical_graph(n, base + ((i, l), (j, k))), 1),
-            )
-            out.append(GraphCombination._of(n, terms, degree))
+    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
+        rest = [0, *(v for v in range(1, n + 1) if v not in (i, j, k, l))]
+        for es in template:
+            base = tuple((rest[t], rest[h]) for t, h in es)
+            a, b, c = (graph(base + pair) for pair in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k))))
+            out.append(GraphCombination._sorted(n, {a: 1, b: -1, c: 1}, degree))
     return out
 
 

@@ -132,17 +132,28 @@ def _dicts(values: list, keys: list, indent: str) -> list[str]:
 
 
 def _lists(values: list, indent: str) -> list[str]:
-    """The layout of lists and tuples."""
+    """The layout of lists and tuples.
+
+    Each list's text is one join: its head and tail are folded into its
+    first and last item, and the lists are taken last to first, so the
+    item texts a list consumed are dropped as soon as its text is made."""
     out = _rows(values, indent)
     if out is not None:
         return out
     inner = indent + "  "
-    sep = ",\n" + inner
+    head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
     items = _column([x for v in values for x in v], inner)
-    out, end = [], 0
-    for v in values:
-        start, end = end, end + len(v)
-        out.append("[\n" + inner + sep.join(items[start:end]) + "\n" + indent + "]" if v else "[]")
+    out = []
+    for v in reversed(values):
+        if not v:
+            out.append("[]")
+            continue
+        start = len(items) - len(v)
+        items[start] = head + items[start]
+        items[-1] += tail
+        out.append(sep.join(items[start:]))
+        del items[start:]
+    out.reverse()
     return out
 
 

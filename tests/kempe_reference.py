@@ -7,8 +7,10 @@ is left, and merges the graphs only at the end.  reference_hall_matching is
 the recursive augmenting-path search that graphinv.kempe.hall_matching
 replaced: it avoids only the vertices on its current path, nests one call
 per step of a path and may search a failed branch again from every path
-that reaches it, so it only serves graphs whose paths stay short.  Neither
-is part of the library.
+that reaches it, so it only serves graphs whose paths stay short.
+reference_kempe_decompose peels each matching off the residual graph
+one list.remove per edge, as graphinv.kempe.kempe_decompose did before it
+peeled in one pass.  None of them is part of the library.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from graphinv.graphs import Graph, canonicalize
-from graphinv.kempe import Bipartition
+from graphinv.kempe import Bipartition, MatchingProduct, hall_matching, neutralize
 from graphinv.straightening import GraphCombination, plucker_exchange
 
 
@@ -66,3 +68,27 @@ def reference_hall_matching(g: Graph, b: Bipartition) -> Graph:
     for u in adj:
         assert assign(u, frozenset()), f"no perfect matching found in {g!r}"
     return Graph(g.n, sorted((u, v) if u < v else (v, u) for v, u in match.items()))
+
+
+def reference_kempe_decompose(g: Graph) -> list[MatchingProduct]:
+    """kempe_decompose with the peeling it replaced: each matched edge is
+    taken off the residual edge list by its own list.remove, so peeling
+    is quadratic in the edges.  g is assumed regular on an even number of
+    vertices."""
+    d = g.regular_valence()
+    if d == 0:
+        return [MatchingProduct(1, [])]
+    b = Bipartition.halves(g.n)
+    out = []
+    for h, coeff in neutralize(g, b).terms.items():
+        factors = []
+        residual = h
+        for _ in range(d):
+            m = hall_matching(residual, b)
+            factors.append(m)
+            remaining = list(residual.edges)
+            for e in m.edges:
+                remaining.remove(e)
+            residual = Graph(g.n, remaining)
+        out.append(MatchingProduct(coeff, factors))
+    return out

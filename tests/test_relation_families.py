@@ -3,10 +3,12 @@
 plucker_linear_relations and simple_binomial_relations build their terms
 through the trusted constructors; they must give, term for term and in
 iteration order, what the validated constructions in
-tests/relations_reference.py give.  quadric_relation_space(10) is pinned
-by the SHA-256 of its repr."""
+tests/relations_reference.py give, and the Plucker family holds one Graph
+object per matching.  quadric_relation_space(10) is pinned by the SHA-256
+of its repr."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,9 +57,24 @@ def assert_same_family(got, want, cls):
         assert a == b
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 10])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_plucker_matches_the_validated_construction(n):
-    assert_same_family(plucker_linear_relations(n), plucker_linear_relations_reference(n), GraphCombination)
+    # C(n,4) quadruples times (n-5)!! matchings of the rest: 51,975 at n=12
+    got = plucker_linear_relations(n)
+    assert len(got) == math.comb(n, 4) * math.prod(range(n - 5, 0, -2))
+    assert_same_family(got, plucker_linear_relations_reference(n), GraphCombination)
+
+
+@pytest.mark.parametrize("n, distinct", [(4, 3), (6, 15), (8, 105), (10, 945)])
+def test_plucker_family_shares_one_graph_per_matching(n, distinct):
+    # every matching of 1..n is one Graph object, held by every relation
+    # that holds it
+    graphs = [g for c in plucker_linear_relations(n) for g in c.terms]
+    assert len({id(g) for g in graphs}) == distinct
+    first = {}
+    for g in graphs:
+        assert first.setdefault(g._key, g) is g
+    assert len(first) == distinct
 
 
 @pytest.mark.parametrize("n", [6, 8, 10, 12])
