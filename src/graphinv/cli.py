@@ -9,10 +9,12 @@ a JSON run report with the shape
 where inputs echo the fully parsed data, so a report can be re-run without
 the original files.  Identical argv and seed give identical reports except
 for timing_ms, laid out as ``json.dumps(report, indent=2, sort_keys=True)``
-plus one newline.  Each handler returns its text as a callable, so text is
-rendered only for ``--format text``.  Exit status: 0 on success (including
-negative query answers), 1 when a verification check fails, 2 on usage
-errors or invalid input.
+plus one newline.  The report is laid out in full as a list of pieces,
+then written piece by piece, so a failed layout writes nothing.  Each
+handler returns its text as a callable, so text is rendered only for
+``--format text``.  Exit status: 0 on success (including negative query
+answers), 1 when a verification check fails, 2 on usage errors or invalid
+input.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .relations import (
     segre_cubic,
     simple_binomial_relations,
 )
-from .report import dumps as _dumps
+from .report import pieces as _pieces
 from .straightening import combination_to_json, straighten_graph
 
 
@@ -414,10 +416,11 @@ def main(argv=None) -> int:
                 "seed": args.seed,
                 "timing_ms": int((time.perf_counter() - t0) * 1000),
             }
-            payload = _dumps(report) + "\n"
+            payload = _pieces(report)
+            payload.append("\n")
         else:
             lines = text()
-            payload = "\n".join(lines) + "\n" if lines else ""
+            payload = ["\n".join(lines), "\n"] if lines else []
     except RecursionError:
         print(f"error: the {args.command} report is nested too deeply to write", file=sys.stderr)
         return 2
@@ -429,12 +432,12 @@ def main(argv=None) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(payload)
+                fh.writelines(payload)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
     return code
 
 

@@ -150,12 +150,17 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
     The stack discipline makes every non-crossing graph appear exactly once.
     A branch is cut when the arcs left open and the later valences cannot
     meet: their total must be even, and no later vertex may need more than
-    the open arcs plus the other later valences.  Output sorted
-    lexicographically by edge list.
+    the open arcs plus the other later valences.  Every arc joins an open
+    endpoint to a later vertex, so the edges are valid and oriented tail <
+    head, and each result is built without re-checking them.  Output
+    sorted lexicographically by edge list.
     """
     degree = tuple(map(index, degree))
     if len(degree) != n:
         raise LengthMismatch(f"degree vector has length {len(degree)}, expected {n}")
+    n = index(n)
+    if n < 1:
+        raise VertexCountTooSmall("vertex count must be positive")
     if any(x < 0 for x in degree):
         raise ValueError("valences must be nonnegative")
     if sum(degree) % 2:
@@ -176,7 +181,7 @@ def enumerate_noncrossing(n: int, degree: Sequence[int]) -> list[Graph]:
         v, stack, edges = todo.pop()
         if v > n:
             if not stack:
-                results.append(Graph(n, sorted(edges)))
+                results.append(Graph._canonical(n, tuple(sorted(edges))))
             continue
         d = degree[v - 1]
         rest, most = suffix[v + 1], suffix_max[v + 1]

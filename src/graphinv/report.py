@@ -1,7 +1,10 @@
 """The JSON layout of the CLI's reports.
 
-``dumps`` reproduces ``json.dumps(value, indent=2, sort_keys=True)`` byte
-for byte at a fraction of its cost.  It has a module of its own because
+``pieces`` lays out ``json.dumps(value, indent=2, sort_keys=True)`` byte
+for byte, at a fraction of its cost, as a list of text pieces, and
+``dumps`` joins them.  A report's long lists are laid out ``_BATCH`` items
+to a piece, so no nesting level above them copies the whole text: the CLI
+writes the pieces one after another.  It has a module of its own because
 the CLI module is compiled on every start when no bytecode is cached, and
 a larger module raises the peak memory of that compile.
 """
@@ -18,17 +21,31 @@ _LEAF = {
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
 }
-_BATCH = 64  # values per column step, which bounds the text held at once
-_ROWS: dict[str, dict[tuple, str]] = {}  # indent -> {row of ints: its text}, emptied as dumps returns
+_BATCH = 64  # values per column step and items per piece, which bounds the text held at once
+_ROWS: dict[str, dict[tuple, str]] = {}  # indent -> {row of ints: its text}, emptied as pieces returns
 
 
 def dumps(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte: the
+    join of ``pieces(value, indent)``."""
+    return "".join(pieces(value, indent))
 
-    With ``indent`` that call runs the pure-Python encoder.  This lays out
-    a column at a time instead: the values that sit at one indent in the
-    same place of their parents (the edge lists of every term, their
-    coefficients, ...) are laid out together, ``_BATCH`` at a time.
+
+def pieces(value, indent: str = "") -> list[str]:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` as a
+    list of pieces, in order.
+
+    A value that holds a list longer than ``_BATCH``, looking through
+    dicts and one-item lists only, is laid out top-down: each of those
+    containers' heads, separators and tails is a piece, each long list
+    gives one piece per ``_BATCH`` items, and every other value in them is
+    one piece.  Any other value is one piece.  So the text is held once,
+    where joining it level by level would copy it once per level.
+
+    Each piece comes from the column layout: the values that sit at one
+    indent in the same place of their parents (the edge lists of every
+    term, their coefficients, ...) are laid out together, ``_BATCH`` at a
+    time.
 
     - A column of str, int, bool and None leaves is encoded with the
       C-level helpers, one call per leaf.
@@ -46,19 +63,48 @@ def dumps(value, indent: str = "") -> str:
       type) is ``json.dumps(v, indent=2, sort_keys=True)`` re-indented,
       which is exact because JSON text holds no raw newline.
 
-    A value nested too deeply for the column layout is laid out node by
-    node from an explicit stack instead, so its depth is not bounded by
-    the recursion limit (the trace of a long run of pair reductions is a
-    chain of dicts a thousand deep).  Where a value the column layout
-    cannot take is itself too deep for ``json.dumps``, that exception
-    propagates.
+    A value nested too deeply for this layout is laid out node by node
+    from an explicit stack instead, as one piece, so its depth is not
+    bounded by the recursion limit (the trace of a long run of pair
+    reductions is a chain of dicts a thousand deep).  Where a value the
+    column layout cannot take is itself too deep for ``json.dumps``, that
+    exception propagates.
     """
     try:
-        return _column([value], indent)[0]
+        out = _split(value, indent)
+        return [_one(value, indent)] if out is None else out
     except RecursionError:
-        return _walk(value, indent)
+        return [_walk(value, indent)]
     finally:
         _ROWS.clear()
+
+
+def _split(value, indent: str) -> list[str] | None:
+    """The pieces of a value that holds a list longer than _BATCH, looking
+    through dicts with str keys and one-item lists; None for any other
+    value."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if len(value) > _BATCH:
+            out = ["[\n" + inner]
+            for k in range(0, len(value), _BATCH):
+                if k:
+                    out.append(",\n" + inner)
+                out.append((",\n" + inner).join(_column(value[k:k + _BATCH], inner)))
+            return out + ["\n" + indent + "]"]
+        out = _split(value[0], inner) if len(value) == 1 else None
+        return None if out is None else ["[\n" + inner, *out, "\n" + indent + "]"]
+    if not (isinstance(value, dict) and all(isinstance(k, str) for k in value)):
+        return None
+    keys = sorted(value)
+    parts = [_split(value[k], inner) for k in keys]
+    if all(part is None for part in parts):
+        return None
+    out = []
+    for i, (k, part) in enumerate(zip(keys, parts)):
+        out.append(("{\n" if i == 0 else ",\n") + inner + _escape(k) + ": ")
+        out += [_one(value[k], inner)] if part is None else part
+    return out + ["\n" + indent + "}"]
 
 
 def _walk(value, indent: str) -> str:

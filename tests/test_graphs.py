@@ -173,6 +173,8 @@ def test_enumerate_noncrossing_errors():
         enumerate_noncrossing(4, (1, 1, 1))
     with pytest.raises(OddDegreeSum):
         enumerate_noncrossing(4, (1, 1, 1, 0))
+    with pytest.raises(VertexCountTooSmall):
+        enumerate_noncrossing(0, ())
     assert enumerate_noncrossing(4, (0, 0, 0, 0)) == [Graph(4)]
 
 

@@ -17,6 +17,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -77,7 +78,7 @@ def json_values(depth: int):
 @settings(max_examples=400, deadline=None)
 @given(json_values(6))
 def test_writer_matches_json_dumps(value):
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
 
 
 def test_writer_on_edge_lists_and_leaf_lists():
@@ -88,7 +89,7 @@ def test_writer_on_edge_lists_and_leaf_lists():
         "leaves": [1, "a", None, False, 2 ** 70],
         "nested": [[[1, 2], [3, 4]], [[5, 6]]],
     }
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -98,7 +99,7 @@ def test_writer_on_edge_lists_and_leaf_lists():
     {"outer": {1: {"inner": [[1, 2]]}, 2: []}, "rows": [{3: "x"}, {3: "y"}], "mixed": [{4: 1}, {"a": 1}]},
 ])
 def test_writer_on_keys_that_are_not_str(value):
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
 
 
 def nested(depth):
@@ -110,13 +111,13 @@ def nested(depth):
 
 def test_writer_on_values_deeper_than_the_column_layout():
     value = nested(600)
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
     # a dict with a key that is not a str goes to json.dumps, which cannot go this deep
     deep = {"leaf": 1}
     for _ in range(2000):
         deep = {1: deep}
     with pytest.raises(RecursionError):
-        cli._dumps(deep)
+        report.dumps(deep)
 
 
 DEEPER_THAN_JSON_DUMPS = """
@@ -183,9 +184,10 @@ def test_writer_batches_more_edge_lists_than_one_batch_holds(batches):
     rng = random.Random(3)
     count = 2 * report._BATCH + 5
     value = {"terms": [{"coeff": str(k - 7), "edges": edge_tuple(rng, 12, rng.randint(1, 9))} for k in range(count)]}
-    assert cli._dumps(value) == reference(value)
-    # the list of terms, then 64 + 64 + 5 edge tuples
-    assert [(len(values), taken) for values, taken in batches] == [(1, False), (64, True), (64, True), (5, True)]
+    assert report.dumps(value) == reference(value)
+    # the list of terms is laid out a piece at a time, so the row path
+    # sees only its 64 + 64 + 5 edge tuples
+    assert [(len(values), taken) for values, taken in batches] == [(64, True), (64, True), (5, True)]
 
 
 class Edge(NamedTuple):
@@ -212,7 +214,7 @@ def test_writer_falls_back_inside_one_indent_group(batches, odd):
     terms = [{"coeff": "1", "edges": edge_tuple(rng, 8, 4)} for _ in range(5)]
     terms.insert(2, {"coeff": "-1", "edges": odd})
     value = {"outputs": {"terms": terms}, "odd": [odd, ((1, 2),)]}
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
     assert verdicts(batches, [t["edges"] for t in terms]) == [False]
 
 
@@ -228,7 +230,7 @@ def test_writer_on_tuple_rows_and_special_scalars(batches):
         "special": [((x, x),) for x in specials],
         "lists": [[(1, 2)], [(3, 4), (1, 2)]],
     }
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
     assert {key: verdicts(batches, column) for key, column in value.items()} == {
         "ints": [True], "mixed": [False], "named": [False], "empty": [False], "special": [False], "lists": [False],
     }
@@ -246,7 +248,7 @@ def test_row_cache_lives_for_one_call(monkeypatch):
     monkeypatch.setattr(report, "_rows", spy)
     rng = random.Random(11)
     value = {"a": [edge_tuple(rng, 6, 5) for _ in range(200)], "b": {"c": [((1, 2), (2, 3))]}}
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
     distinct = {row for edges in value["a"] for row in edges}
     assert max(sizes) == len(distinct) + 2  # (1, 2) and (2, 3) once more, one indent deeper
     assert report._ROWS == {}
@@ -254,7 +256,7 @@ def test_row_cache_lives_for_one_call(monkeypatch):
     for _ in range(2000):
         deep = {1: deep}
     with pytest.raises(RecursionError):  # json.dumps cannot go this deep
-        cli._dumps({"a": [((1, 2),)], "b": deep})
+        report.dumps({"a": [((1, 2),)], "b": deep})
     assert report._ROWS == {}
 
 
@@ -266,7 +268,7 @@ some_rows = st.one_of(int_rows, int_rows, st.lists(st.one_of(st.booleans(), st.i
 @given(st.lists(st.dictionaries(st.sampled_from(["edges", "more"]), st.lists(some_rows, max_size=4).map(tuple)), max_size=5))
 def test_writer_on_generated_rows(value):
     # small entries and bools, so rows that compare equal recur across one report
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
 
 
 # Lists that are empty, hold one item or several, side by side in one
@@ -288,14 +290,71 @@ short_lists = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(short_lists, max_size=6))
 def test_writer_on_empty_and_one_item_lists_side_by_side(value):
-    assert cli._dumps(value) == reference(value)
+    assert report.dumps(value) == reference(value)
+
+
+# Long lists under dicts and one-item lists, lists of long lists, empty
+# lists, and rows of ints and of bools: with a batch of 1, 2 or 3 items,
+# short lists are long enough to be laid out a piece at a time.
+rows = st.one_of(st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(tuple),
+                 st.lists(st.booleans(), min_size=1, max_size=2).map(tuple))
+piece_values = st.recursive(
+    st.one_of(st.integers(-2, 2), st.sampled_from(["", "a", ",\n", None, True]), rows, st.just([])),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=1),
+        st.lists(inner, max_size=6),
+        st.lists(rows, min_size=2, max_size=6).map(tuple),
+        st.lists(st.lists(inner, min_size=3, max_size=5), max_size=3),
+        st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+    ),
+    max_leaves=60,
+)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@settings(max_examples=200, deadline=None)
+@given(piece_values)
+def test_pieces_join_to_json_dumps(batch, value):
+    with mock.patch.object(report, "_BATCH", batch):
+        got = report.pieces(value)
+    assert "".join(got) == reference(value)
+    assert report._ROWS == {}
+
+
+def test_pieces_past_the_recursion_limit_are_one_walk(monkeypatch):
+    # every level holds a list longer than a batch, so the top-down layout
+    # recurses down the whole chain, runs out of stack and falls back
+    monkeypatch.setattr(report, "_BATCH", 1)
+    value = {"leaf": [1, [2, 3], ((1, 2), (3, 4))]}
+    for k in range(sys.getrecursionlimit()):
+        value = {"child": value, "depth": k, "rows": [(1, 2), (True, False)], "one": [[k, k]]}
+    got = report.pieces(value)
+    assert got == [report._walk(value, "")]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)  # json.dumps recurses once per level
+    try:
+        want = reference(value)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [want]
+
+
+def test_pieces_of_a_long_list_hold_one_batch_each():
+    relations = [combination_to_json(r) for r in plucker_linear_relations(8)]  # 210 of them
+    value = {"outputs": {"count": len(relations), "relations": relations}, "z": [[relations[:2]]]}
+    got = report.pieces(value)
+    assert "".join(got) == reference(value)
+    texts = [report.dumps(r, "      ") for r in relations]
+    batches = [",\n      ".join(texts[k:k + report._BATCH]) for k in range(0, len(texts), report._BATCH)]
+    assert [p for p in got if p in batches] == batches
 
 
 def test_writer_peak_on_the_plucker_report():
-    # the n=10 plucker report is 4.84 MB; joining each list once and
-    # dropping its item texts as they are consumed keeps the writer's
-    # Python-level peak at about 2.25 times that, where a join followed by
-    # two concatenations per list took 3.03 times
+    # the n=10 plucker report is 4.84 MB; its pieces hold the text once
+    # and dumps joins them once, so the writer's Python-level peak is
+    # about 2.0 times that, where a join per list copied into each parent's
+    # text took 2.25 times, and a join followed by two concatenations per
+    # list 3.03 times
     relations = [combination_to_json(r) for r in plucker_linear_relations(10)]
     value = {"command": "relations", "outputs": {"count": len(relations), "relations": relations}, "seed": 0}
     tracemalloc.start()
@@ -307,6 +366,26 @@ def test_writer_peak_on_the_plucker_report():
     assert len(text) > 4_800_000
     assert peak <= 2.5 * len(text)
     assert text == reference(value)
+
+
+def test_cli_peak_on_the_plucker_report(tmp_path):
+    # written with --out, the report's pieces go to the file one after
+    # another: the run's Python-level peak, relations and their JSON
+    # values included, is about 1.8 times the report's length, where
+    # joining the text once per nesting level and adding the newline took
+    # 3.0 times
+    target = tmp_path / "report.json"
+    argv = ["relations", "--n", "10", "--type", "plucker", "--format", "json", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = target.stat().st_size
+    assert size > 4_800_000
+    assert peak <= 2.2 * size
 
 
 def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
@@ -324,17 +403,17 @@ def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
 @pytest.fixture
 def reports(monkeypatch):
     """Run argv through ``cli.main`` with ``--format json``; returns each
-    report value the writer saw, its output and stdout."""
-    writer = cli._dumps
+    report value the writer saw, the join of its pieces and stdout."""
+    writer = cli._pieces
     seen = []
 
     def spy(value, indent=""):
-        text = writer(value, indent)
+        out = writer(value, indent)
         if indent == "":
-            seen.append((value, text))
-        return text
+            seen.append((value, "".join(out)))
+        return out
 
-    monkeypatch.setattr(cli, "_dumps", spy)
+    monkeypatch.setattr(cli, "_pieces", spy)
 
     def run(argv, stdin=None):
         seen.clear()
