@@ -9,7 +9,9 @@ a JSON run report with the shape
 where inputs echo the fully parsed data, so a report can be re-run without
 the original files.  Identical argv and seed give identical reports except
 for timing_ms, laid out as ``json.dumps(report, indent=2, sort_keys=True)``
-plus one newline.  The report is laid out in full as a list of pieces,
+plus one newline.  A report value holds the library's graphs,
+combinations and polynomials themselves, and the layout writes each as
+its ``*_to_json`` value.  The report is laid out in full as a list of pieces,
 then written piece by piece, so a failed layout writes nothing.  Each
 handler returns its text as a callable, so text is rendered only for
 ``--format text``.  Exit status: 0 on success (including negative query
@@ -30,20 +32,18 @@ from .chart import chart_point_to_json, verify_chart
 from .degree import degree_trace, is_boundary, moduli_degree
 from .errors import BadExponent, GraphInvError, MalformedInput
 from .evaluation import Configuration, configuration_from_json, configuration_to_json, evaluate
-from .graphs import Graph, enumerate_noncrossing, graph_from_json, graph_to_json, noncrossing_matchings
-from .kempe import kempe_decompose, matching_product_to_json
+from .graphs import Graph, enumerate_noncrossing, graph_from_json, noncrossing_matchings
+from .kempe import kempe_decompose
 from .relations import (
-    certificate_to_json,
     ideal_membership,
     odd_power_relation,
     plucker_linear_relations,
     polynomial_from_json,
-    polynomial_to_json,
     segre_cubic,
     simple_binomial_relations,
 )
 from .report import pieces as _pieces
-from .straightening import combination_to_json, straighten_graph
+from .straightening import straighten_graph
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
@@ -98,6 +98,10 @@ def _fmt_combination(comb) -> list[str]:
     return [f"{_fmt_coeff(c)} {_fmt_graph(g)}" for g, c in comb.terms.items()]
 
 
+def _fmt_relation(comb) -> str:
+    return "  ".join(_fmt_combination(comb))
+
+
 def _fmt_product(p) -> str:
     return f"{_fmt_coeff(p.coeff)} " + (" * ".join(_fmt_graph(f) for f in p.factors) or "1")
 
@@ -115,15 +119,15 @@ def _cmd_eval(args):
     g = graph_from_json(_read_json(args.graph))
     c = _load_configuration(args)
     val = evaluate(g, c)
-    inputs = {"graph": graph_to_json(g), "config": configuration_to_json(c)}
+    inputs = {"graph": g, "config": configuration_to_json(c)}
     return inputs, {"value": str(val)}, [], lambda: [str(val)], 0
 
 
 def _cmd_straighten(args):
     g = graph_from_json(_read_json(args.graph))
     comb = straighten_graph(g)
-    inputs = {"graph": graph_to_json(g)}
-    outputs = {"combination": combination_to_json(comb)}
+    inputs = {"graph": g}
+    outputs = {"combination": comb}
     return inputs, outputs, [], lambda: _fmt_combination(comb), 0
 
 
@@ -134,25 +138,25 @@ def _cmd_basis(args):
         raise argparse.ArgumentTypeError(f"{len(w)} weights for --n {n}")
     basis = enumerate_noncrossing(n, w)
     inputs = {"n": n, "weights": list(w)}
-    outputs = {"count": len(basis), "graphs": [graph_to_json(g) for g in basis]}
+    outputs = {"count": len(basis), "graphs": basis}
     return inputs, outputs, [], lambda: [_fmt_graph(g) for g in basis], 0
 
 
 def _cmd_kempe(args):
     g = graph_from_json(_read_json(args.graph))
     prods = kempe_decompose(g)
-    inputs = {"graph": graph_to_json(g)}
-    outputs = {"products": [matching_product_to_json(p) for p in prods]}
+    inputs = {"graph": g}
+    outputs = {"products": [{"coeff": str(p.coeff), "factors": p.factors} for p in prods]}
     return inputs, outputs, [], lambda: [_fmt_product(p) for p in prods], 0
 
 
 def _cmd_relations(args):
     n = _vertex_count(args.n)
     inputs = {"n": n, "type": args.type}
-    to_json, fmt = polynomial_to_json, _fmt_polynomial
+    fmt = _fmt_polynomial
     if args.type == "plucker":
         rels = plucker_linear_relations(n)
-        to_json, fmt = combination_to_json, lambda r: "  ".join(_fmt_combination(r))
+        fmt = _fmt_relation
     elif args.type == "simple-binomial":
         rels = simple_binomial_relations(n)
     elif args.type == "segre":
@@ -162,9 +166,9 @@ def _cmd_relations(args):
             raise BadExponent(f"--exponent must be odd, got {args.exponent}")
         base = noncrossing_matchings(n)[0]
         inputs["exponent"] = args.exponent
-        inputs["matching"] = graph_to_json(base)
+        inputs["matching"] = base
         rels = [odd_power_relation(n, base, args.exponent)]
-    outputs = {"count": len(rels), "relations": [to_json(r) for r in rels]}
+    outputs = {"count": len(rels), "relations": rels}
     return inputs, outputs, [], lambda: [fmt(r) for r in rels], 0
 
 
@@ -186,7 +190,7 @@ def _cmd_check_ideal(args):
     gens = simple_binomial_relations(args.n)
     member, cert = ideal_membership(cand, gens, k)
     inputs = {
-        "candidate": polynomial_to_json(cand),
+        "candidate": cand,
         "n": args.n,
         "degree": k,
         "generators": "simple-binomial",
@@ -194,7 +198,9 @@ def _cmd_check_ideal(args):
     }
     outputs = {
         "member": member,
-        "certificate": certificate_to_json(cert) if cert is not None else None,
+        "certificate": None if cert is None else [
+            {"coeff": str(coeff), "cofactor_monomial": cof, "generator_index": gi} for gi, cof, coeff in cert
+        ],
     }
     line = f"member (certificate with {len(cert)} terms)" if member else "not a member"
     return inputs, outputs, [], lambda: [line], 0
@@ -407,7 +413,6 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.format == "json":
-            text = None  # release what the closure holds (for plucker, every relation) before the layout
             report = {
                 "command": args.command,
                 "inputs": inputs,

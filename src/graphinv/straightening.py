@@ -38,6 +38,7 @@ from .graphs import (
     Combination,
     Graph,
     _coefficient,
+    _exact,
     _is_int,
     _terms_document,
     canonicalize,
@@ -227,9 +228,17 @@ def straighten_graph(g: Graph) -> GraphCombination:
 
 
 def straighten(c: GraphCombination) -> GraphCombination:
-    """Rewrite c on the non-crossing basis; exact, linear, idempotent."""
+    """Rewrite c on the non-crossing basis; exact, linear, idempotent.
+
+    The expansion's leaves are distinct canonical edge tuples, so the
+    result needs no merge: its terms are the leaves in edge order, less
+    those whose coefficient cancelled."""
     flat = _expand(c.n, {g.edges: {0: k} for g, k in c.terms.items()})
-    return GraphCombination._of(c.n, ((Graph._canonical(c.n, es), col[0]) for es, col in flat.items()), c.degree)
+    terms = {}
+    for es in sorted(flat):
+        if k := flat[es][0]:
+            terms[Graph._canonical(c.n, es)] = k if type(k) is int else _exact(k)
+    return GraphCombination._sorted(c.n, terms, c.degree)
 
 
 def adjacent_clumps(sizes: Iterable[int]) -> list[list[int]]:

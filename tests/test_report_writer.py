@@ -24,14 +24,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphinv import cli, report
-from graphinv.relations import plucker_linear_relations
-from graphinv.straightening import combination_to_json
+from graphinv.graphs import Graph, graph_to_json
+from graphinv.relations import GraphPolynomial, plucker_linear_relations, polynomial_to_json
+from graphinv.straightening import GraphCombination, combination_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def reference(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
+def to_json(obj):
+    """The JSON value of a library object in a report."""
+    to = {Graph: graph_to_json, GraphCombination: combination_to_json, GraphPolynomial: polynomial_to_json}
+    return to[type(obj)](obj)
+
+
+def reference(value, default=None) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, default=default)
 
 
 def load_workloads():
@@ -157,17 +164,15 @@ def test_deep_layout_matches_json_dumps(value, indent):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Record each column of lists and tuples offered to the row path, with
-    whether it took it (True) or fell back to the generic walk (False)."""
-    rows = report._rows
+    """Record each column of lists and tuples offered to the list layout."""
+    lists = report._lists
     seen = []
 
-    def spy(values, indent):
-        out = rows(values, indent)
-        seen.append((values, out is not None))
-        return out
+    def spy(values, indent, memo):
+        seen.append(values)
+        return lists(values, indent, memo)
 
-    monkeypatch.setattr(report, "_rows", spy)
+    monkeypatch.setattr(report, "_lists", spy)
     return seen
 
 
@@ -175,9 +180,9 @@ def edge_tuple(rng, n, m):
     return tuple(tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(m))
 
 
-def verdicts(batches, column):
-    """Whether each offer of exactly this column took the row path."""
-    return [taken for values, taken in batches if values == list(column)]
+def offers(batches, column):
+    """How often exactly this column was offered to the list layout."""
+    return sum(values == list(column) for values in batches)
 
 
 def test_writer_batches_more_edge_lists_than_one_batch_holds(batches):
@@ -185,9 +190,9 @@ def test_writer_batches_more_edge_lists_than_one_batch_holds(batches):
     count = 2 * report._BATCH + 5
     value = {"terms": [{"coeff": str(k - 7), "edges": edge_tuple(rng, 12, rng.randint(1, 9))} for k in range(count)]}
     assert report.dumps(value) == reference(value)
-    # the list of terms is laid out a piece at a time, so the row path
-    # sees only its 64 + 64 + 5 edge tuples
-    assert [(len(values), taken) for values, taken in batches] == [(64, True), (64, True), (5, True)]
+    # the list of terms is laid out a piece at a time, so the list layout
+    # sees its edge tuples 64 + 64 + 5 at a time (and each batch's pairs)
+    assert [len(values) for values in batches if isinstance(values[0][0], tuple)] == [64, 64, 5]
 
 
 class Edge(NamedTuple):
@@ -215,7 +220,8 @@ def test_writer_falls_back_inside_one_indent_group(batches, odd):
     terms.insert(2, {"coeff": "-1", "edges": odd})
     value = {"outputs": {"terms": terms}, "odd": [odd, ((1, 2),)]}
     assert report.dumps(value) == reference(value)
-    assert verdicts(batches, [t["edges"] for t in terms]) == [False]
+    # the odd value is laid out in the one column of the edges at its indent
+    assert offers(batches, [t["edges"] for t in terms]) == 1
 
 
 def test_writer_on_tuple_rows_and_special_scalars(batches):
@@ -231,33 +237,40 @@ def test_writer_on_tuple_rows_and_special_scalars(batches):
         "lists": [[(1, 2)], [(3, 4), (1, 2)]],
     }
     assert report.dumps(value) == reference(value)
-    assert {key: verdicts(batches, column) for key, column in value.items()} == {
-        "ints": [True], "mixed": [False], "named": [False], "empty": [False], "special": [False], "lists": [False],
-    }
+    assert {key: offers(batches, column) for key, column in value.items()} == dict.fromkeys(value, 1)
 
 
 def test_row_cache_lives_for_one_call(monkeypatch):
-    rows = report._rows
-    sizes = []
+    # the texts of graphs used twice are kept per indent for one call only
+    edges = report._edges
+    memos = []
 
-    def spy(values, indent):
-        out = rows(values, indent)
-        sizes.append(sum(map(len, report._ROWS.values())))
+    def spy(graphs, indent, memo):
+        out = edges(graphs, indent, memo)
+        memos.append(memo)
         return out
 
-    monkeypatch.setattr(report, "_rows", spy)
+    monkeypatch.setattr(report, "_edges", spy)
     rng = random.Random(11)
-    value = {"a": [edge_tuple(rng, 6, 5) for _ in range(200)], "b": {"c": [((1, 2), (2, 3))]}}
-    assert report.dumps(value) == reference(value)
-    distinct = {row for edges in value["a"] for row in edges}
-    assert max(sizes) == len(distinct) + 2  # (1, 2) and (2, 3) once more, one indent deeper
-    assert report._ROWS == {}
+    graphs = sorted({Graph(6, sorted(edge_tuple(rng, 6, 3))) for _ in range(60)})
+    twice = Graph(6, [(1, 2), (2, 3)])
+    refs = [sys.getrefcount(g) for g in graphs]
+    value = {"a": [rng.choice(graphs) for _ in range(200)], "b": {"c": [twice, twice]}}
+    assert report.dumps(value) == reference(value, default=to_json)
+    memo, = {id(m): m for m in memos}.values()
+    kept = {ind: sum(text is not None for text in cache.values())
+            for (kind, ind), cache in memo.items() if kind == "edges"}
+    assert kept == {"      ": sum(value["a"].count(g) > 1 for g in graphs), "        ": 1}
+    memos.clear()
+    memo = None
     deep = {1: {"leaf": 1}}
     for _ in range(2000):
         deep = {1: deep}
     with pytest.raises(RecursionError):  # json.dumps cannot go this deep
-        report.dumps({"a": [((1, 2),)], "b": deep})
-    assert report._ROWS == {}
+        report.dumps({"a": value["a"], "b": deep})
+    memos.clear()
+    value = None
+    assert [sys.getrefcount(g) for g in graphs] == refs
 
 
 int_rows = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
@@ -318,7 +331,6 @@ def test_pieces_join_to_json_dumps(batch, value):
     with mock.patch.object(report, "_BATCH", batch):
         got = report.pieces(value)
     assert "".join(got) == reference(value)
-    assert report._ROWS == {}
 
 
 def test_pieces_past_the_recursion_limit_are_one_walk(monkeypatch):
@@ -370,10 +382,11 @@ def test_writer_peak_on_the_plucker_report():
 
 def test_cli_peak_on_the_plucker_report(tmp_path):
     # written with --out, the report's pieces go to the file one after
-    # another: the run's Python-level peak, relations and their JSON
-    # values included, is about 1.8 times the report's length, where
-    # joining the text once per nesting level and adding the newline took
-    # 3.0 times
+    # another: the run's Python-level peak, relations included, is about
+    # 1.45 times the report's length now that the report holds the
+    # relations themselves; building their JSON values first took 1.88
+    # times, and joining the text once per nesting level and adding the
+    # newline 3.0 times
     target = tmp_path / "report.json"
     argv = ["relations", "--n", "10", "--type", "plucker", "--format", "json", "--out", str(target)]
     tracemalloc.start()
@@ -385,7 +398,7 @@ def test_cli_peak_on_the_plucker_report(tmp_path):
     assert code == 0
     size = target.stat().st_size
     assert size > 4_800_000
-    assert peak <= 2.2 * size
+    assert peak <= 1.6 * size
 
 
 def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
@@ -403,7 +416,9 @@ def test_out_file_and_stdout_are_the_same_bytes(capsys, tmp_path):
 @pytest.fixture
 def reports(monkeypatch):
     """Run argv through ``cli.main`` with ``--format json``; returns each
-    report value the writer saw, the join of its pieces and stdout."""
+    report value the writer saw, the join of its pieces and stdout.  A
+    report value holds library objects, which ``to_json`` turns into their
+    JSON values for the reference."""
     writer = cli._pieces
     seen = []
 
@@ -436,7 +451,7 @@ def test_every_benchmark_report_matches_json_dumps(reports, workload):
     for op in ops:
         code, value, text, out = reports(op.argv, op.stdin)
         assert code == 0, op.argv
-        assert text == reference(value), op.argv
+        assert text == reference(value, default=to_json), op.argv
         assert out == text + "\n"
 
 
@@ -457,5 +472,5 @@ G6 = '{"n": 6, "edges": [[1, 4], [2, 5], [3, 6], [1, 2], [3, 4], [5, 6]]}'
 def test_other_reports_match_json_dumps(reports, argv, stdin):
     code, value, text, out = reports(argv, stdin)
     assert code in (0, 1)
-    assert text == reference(value)
+    assert text == reference(value, default=to_json)
     assert out == text + "\n"

@@ -218,6 +218,33 @@ def test_straighten_combination_matches_reference(n):
     assert evaluate_combination(want, c) == evaluate_combination(comb, c)
 
 
+def test_straighten_builds_the_terms_of_the_merging_constructor():
+    # straighten hands its leaves to the trusted constructor: the terms must
+    # be those _of makes of the same leaves, in order, value and type
+    rng = random.Random(31)
+    kinds, cancelled = set(), 0
+    for trial in range(80):
+        n = rng.choice([6, 8])
+        gs = [Graph(n, random_matching_edges(rng, n) + random_matching_edges(rng, n)) for _ in range(rng.randint(1, 4))]
+        coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 1)]
+        comb = straightening.GraphCombination(n, {g: rng.choice(coeffs) for g in gs})
+        if trial % 2:
+            # take back every other term of the result, so those cancel
+            s = straightening.straighten(comb)
+            comb = comb - straightening.GraphCombination._of(n, [*s.terms.items()][::2], s.degree)
+        flat = straightening._expand(n, {g.edges: {0: k} for g, k in comb.terms.items()})
+        leaves = ((Graph._canonical(n, es), col[0]) for es, col in flat.items())
+        want = straightening.GraphCombination._of(n, leaves, comb.degree)
+        got = straightening.straighten(comb)
+        assert [(g.edges, c, type(c)) for g, c in got.terms.items()] == [
+            (g.edges, c, type(c)) for g, c in want.terms.items()
+        ]
+        assert (got.n, got.degree) == (want.n, want.degree) == (n, (2,) * n)
+        kinds.update(map(type, got.terms.values()))
+        cancelled += sum(not col[0] for col in flat.values())
+    assert kinds == {int, Fraction} and cancelled > 0
+
+
 def random_regular_multigraph(rng, n, valence):
     """A random loopless valence-regular multigraph on 1..n, by pairing
     shuffled stubs until no pair is a loop."""
